@@ -60,7 +60,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"dpmr/internal/coord"
@@ -377,7 +376,7 @@ func runCoordinated(ctx context.Context, spec harness.Spec, cf coord.CLIFlags, o
 		},
 	}
 	if cf.Spawn {
-		fleet.SpawnArgv = workerArgv(opts)
+		fleet.SpawnArgv = coord.WorkerArgv(opts)
 	}
 	if progress {
 		fleet.Log = func(format string, args ...any) {
@@ -388,14 +387,7 @@ func runCoordinated(ctx context.Context, spec harness.Spec, cf coord.CLIFlags, o
 	if err != nil {
 		return runFail(stderr, err)
 	}
-	readers := make([]io.Reader, len(payloads))
-	for i, p := range payloads {
-		readers[i] = bytes.NewReader(p)
-	}
-	if err := harness.GenerateMerged(ctx, spec, stdout, readers, opts); err != nil {
-		return runFail(stderr, err)
-	}
-	return 0
+	return renderMerged(ctx, spec, payloads, opts, stdout, stderr)
 }
 
 // runRemote submits the experiment Spec to a dpmrd campaign service and
@@ -413,6 +405,12 @@ func runRemote(ctx context.Context, spec harness.Spec, addr string, opts harness
 	if err != nil {
 		return runFail(stderr, err)
 	}
+	return renderMerged(ctx, spec, payloads, opts, stdout, stderr)
+}
+
+// renderMerged merges shard payloads into the report on stdout — the
+// tail the -coord and -remote modes share.
+func renderMerged(ctx context.Context, spec harness.Spec, payloads [][]byte, opts harness.Options, stdout, stderr io.Writer) int {
 	readers := make([]io.Reader, len(payloads))
 	for i, p := range payloads {
 		readers[i] = bytes.NewReader(p)
@@ -421,19 +419,6 @@ func runRemote(ctx context.Context, spec harness.Spec, addr string, opts harness
 		return runFail(stderr, err)
 	}
 	return 0
-}
-
-// workerArgv is the flag line of a spawned worker: pure execution
-// policy. The experiment description travels in each coord.Assignment,
-// so nothing here can change the plan or its fingerprint.
-func workerArgv(opts harness.Options) []string {
-	return []string{
-		"-worker",
-		"-parallel", strconv.Itoa(max(opts.Parallel, 1)),
-		"-evict=" + strconv.FormatBool(opts.Evict),
-		"-compile=" + strconv.FormatBool(!opts.Reference),
-		"-precompile", strconv.Itoa(opts.Precompile),
-	}
 }
 
 // expandPartialArgs turns -merge's positional arguments into the partial

@@ -65,7 +65,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 
 	"dpmr/internal/coord"
 	coordnet "dpmr/internal/coord/net"
@@ -482,39 +481,37 @@ type campaignArgs struct {
 	stdout, stderr         io.Writer
 }
 
-// concurrent reports whether the Spec runs the scheduler-driven
-// concurrent kind — the arms below only diverge at merge/render time.
-func (a campaignArgs) concurrent() bool { return a.spec.Kind == harness.SpecConcurrent }
-
-// sessionOptions is the campaign's execution policy as Session options.
-func (a campaignArgs) sessionOptions() []harness.Option {
-	return []harness.Option{
-		harness.WithParallel(a.parallel),
-		harness.WithEviction(a.evict),
-		harness.WithReference(!a.compile),
-		harness.WithPrecompile(a.precompile),
-	}
+// options is the campaign's execution policy as harness Options.
+func (a campaignArgs) options() harness.Options {
+	return harness.Options{Parallel: a.parallel, Evict: a.evict, Reference: !a.compile, Precompile: a.precompile}
 }
 
-// mergeAndPrint reassembles shard partials with the Spec's kind-specific
-// merge and prints the kind's summary block — the tail the -merge,
-// -coord, and -remote arms share.
-func mergeAndPrint(a campaignArgs, parts []*harness.PartialResult, how string) int {
-	r := harness.NewRunner()
-	r.Parallel = a.parallel
-	if a.concurrent() {
-		cr, err := r.MergeConcurrent(a.spec, parts)
-		if err != nil {
-			return execFail(a.stderr, err)
-		}
-		harness.RenderConcurrent(a.stdout, cr)
-		return 0
+// progressSink renders the event stream on stderr when -progress is on.
+func (a campaignArgs) progressSink(label string) func(harness.Event) {
+	if !a.progress {
+		return nil
 	}
-	cr, err := r.MergeCampaign(a.spec, parts)
+	return harness.RenderProgress(a.stderr, label)
+}
+
+// printSummary prints a whole-plan result: the one place the Spec's kind
+// (injection campaign or concurrent campaign) matters.
+func printSummary(w io.Writer, how string, res harness.Result) {
+	if res.Concurrent != nil {
+		harness.RenderConcurrent(w, res.Concurrent)
+		return
+	}
+	printCampaignSummary(w, how, res.Campaign)
+}
+
+// mergeAndPrint merges shard payloads and prints the summary — the tail
+// the -merge, -coord, and -remote arms share.
+func mergeAndPrint(a campaignArgs, payloads [][]byte, how string) int {
+	res, err := harness.NewRunner().Merge(a.spec, payloads)
 	if err != nil {
 		return execFail(a.stderr, err)
 	}
-	printCampaignSummary(a.stdout, how, cr)
+	printSummary(a.stdout, how, res)
 	return 0
 }
 
@@ -532,107 +529,109 @@ func execFail(stderr io.Writer, err error) int {
 	return 1
 }
 
-// runSession starts a streaming Session for the campaign, renders its
-// event stream to stderr when -progress is on (via the renderer the
-// binaries share), and waits — the context-first path the sharded and
-// unsharded arms share. A nonzero code means the failure was already
-// reported.
-func runSession(ctx context.Context, a campaignArgs, extra ...harness.Option) (harness.Result, int) {
-	s, err := harness.Start(ctx, a.spec, append(a.sessionOptions(), extra...)...)
-	if err != nil {
-		return harness.Result{}, usageFail(a.stderr, err)
-	}
-	var sink func(harness.Event)
-	if a.progress {
-		sink = harness.RenderProgress(a.stderr, "campaign")
-	}
-	res, err := s.Drain(sink)
-	if err != nil {
-		return harness.Result{}, execFail(a.stderr, err)
-	}
-	return res, 0
-}
-
-// runCampaign executes the campaign Spec on the streaming Session API —
-// whole, as one shard writing a partial result, merging shard partials,
-// or scheduled on a coordinator fleet — and prints the coverage summary.
+// runCampaign executes the campaign Spec — whole on the streaming
+// Session API, as one shard writing a partial result, merging shard
+// partials, through a journal, or scheduled on a coordinator fleet or a
+// remote dpmrd — and prints the summary.
 func runCampaign(ctx context.Context, a campaignArgs) int {
 	runFail := func(err error) int { return execFail(a.stderr, err) }
 
 	switch {
 	case a.remote != "":
-		return runRemoteCampaign(ctx, a)
-	case a.journalDir != "" && a.coordFlags.Enabled():
-		return runCoordinatedJournaled(ctx, a)
-	case a.journalDir != "" && a.concurrent():
-		return runJournaledConcurrent(ctx, a)
-	case a.journalDir != "":
-		return runJournaledCampaign(ctx, a)
-	case a.coordFlags.Enabled():
-		return runCoordinatedCampaign(ctx, a)
-	case a.sharded:
-		res, code := runSession(ctx, a, harness.WithShard(a.shardSpec))
-		if code != 0 {
-			return code
-		}
-		p := res.CampaignPartial
-		if a.concurrent() {
-			p = res.ConcurrentPartial
-		}
-		var err error
-		out := a.stdout
-		var f *os.File
-		if a.outPath != "" && a.outPath != "-" {
-			f, err = os.Create(a.outPath)
-			if err != nil {
-				return runFail(err)
-			}
-			out = f
-		}
-		if err := p.Encode(out); err != nil {
-			if f != nil {
-				f.Close()
-			}
+		// The daemon schedules the shards on its fleet (and journals them
+		// if it runs with -journal); the client-side merge recomputes the
+		// summary from the exact tiling, so the report is byte-identical to
+		// a local run no matter how the fleet carved it up.
+		payloads, err := coordnet.Submit(ctx, a.remote, a.spec, a.progressSink("campaign@"+a.remote))
+		if err != nil {
 			return runFail(err)
 		}
-		// A close error (deferred flush, ENOSPC) would leave a truncated
-		// partial behind a zero exit; surface it.
-		if f != nil {
-			if err := f.Close(); err != nil {
+		return mergeAndPrint(a, payloads, fmt.Sprintf("%d shards via dpmrd", len(payloads)))
+	case a.journalDir != "" && a.coordFlags.Enabled():
+		return runCoordinatedJournaled(ctx, a)
+	case a.journalDir != "":
+		return runJournaled(ctx, a)
+	case a.coordFlags.Enabled():
+		payloads, err := coord.RunFleet(ctx, a.fleet(nil))
+		if err != nil {
+			return runFail(err)
+		}
+		return mergeAndPrint(a, payloads, fmt.Sprintf("%d shards via %d workers", len(payloads), a.coordFlags.Workers))
+	case a.sharded:
+		opts := a.options()
+		opts.Events = a.progressSink("campaign")
+		payload, err := harness.ShardPayload(ctx, a.spec, a.shardSpec, opts)
+		if err != nil {
+			return runFail(err)
+		}
+		if a.outPath != "" && a.outPath != "-" {
+			// A write or close error (deferred flush, ENOSPC) would leave a
+			// truncated partial behind a zero exit; surface it.
+			if err := os.WriteFile(a.outPath, payload, 0o666); err != nil {
 				return runFail(err)
 			}
+		} else if _, err := a.stdout.Write(payload); err != nil {
+			return runFail(err)
+		}
+		p, err := harness.DecodePartial(bytes.NewReader(payload))
+		if err != nil {
+			return runFail(err)
 		}
 		fmt.Fprintf(a.stderr, "shard %s: trials [%d, %d) of %d\n", a.shardSpec, p.Lo, p.Hi, p.Total)
 		return 0
 	case a.merge:
-		parts := make([]*harness.PartialResult, len(a.mergeFiles))
+		payloads := make([][]byte, len(a.mergeFiles))
 		for i, name := range a.mergeFiles {
-			f, err := os.Open(name)
+			data, err := os.ReadFile(name)
 			if err != nil {
 				return runFail(err)
 			}
-			p, err := harness.DecodePartial(f)
-			f.Close()
-			if err != nil {
-				return runFail(fmt.Errorf("%s: %w", name, err))
-			}
-			parts[i] = p
+			payloads[i] = data
 		}
-		return mergeAndPrint(a, parts, fmt.Sprintf("%d shards", len(parts)))
+		return mergeAndPrint(a, payloads, fmt.Sprintf("%d shards", len(payloads)))
 	}
 
-	res, code := runSession(ctx, a)
-	if code != 0 {
-		return code
+	s, err := harness.Start(ctx, a.spec,
+		harness.WithParallel(a.parallel), harness.WithEviction(a.evict),
+		harness.WithReference(!a.compile), harness.WithPrecompile(a.precompile))
+	if err != nil {
+		return usageFail(a.stderr, err)
 	}
-	if a.concurrent() {
-		harness.RenderConcurrent(a.stdout, res.Concurrent)
-	} else {
-		printCampaignSummary(a.stdout, fmt.Sprintf("%d workers", a.parallel), res.Campaign)
+	res, err := s.Drain(a.progressSink("campaign"))
+	if err != nil {
+		return runFail(err)
 	}
+	printSummary(a.stdout, fmt.Sprintf("%d workers", a.parallel), res)
 	fmt.Fprintf(a.stdout, "modules:    %d built, peak %d resident, %d evicted\n",
 		res.Stats.Builds, res.Stats.Peak, res.Stats.Evicted)
 	return 0
+}
+
+// fleet describes the coordinator fleet the -coord arms run: the
+// -coord-* flags, in-process workers (each assignment on a fresh Runner)
+// or spawned `dpmr-run -worker` processes whose argv carries only
+// execution policy — the Spec rides in every assignment. spans, when
+// non-nil, replaces the uniform -coord-shards cut.
+func (a campaignArgs) fleet(spans []harness.ShardSpec) coord.FleetOptions {
+	cf := a.coordFlags
+	opts := a.options()
+	fleet := coord.FleetOptions{
+		Spec:    a.spec,
+		Workers: cf.Workers, Shards: cf.Shards, Spans: spans, Lease: cf.Lease,
+		Chaos: cf.Chaos, Stderr: a.stderr,
+		Local: func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
+			return harness.ShardPayload(ctx, spec, shard, opts)
+		},
+	}
+	if cf.Spawn {
+		fleet.SpawnArgv = coord.WorkerArgv(opts)
+	}
+	if a.progress {
+		fleet.Log = func(format string, args ...any) {
+			fmt.Fprintf(a.stderr, "coord: "+format+"\n", args...)
+		}
+	}
+	return fleet
 }
 
 // journalRunner builds the Runner a journaled campaign executes on: the
@@ -644,37 +643,27 @@ func (a campaignArgs) journalRunner() *harness.Runner {
 	r.EvictModules = a.evict
 	r.Compile = a.compile
 	r.Precompile = a.precompile
-	if a.progress {
-		r.Events = harness.RenderProgress(a.stderr, "campaign")
-	}
+	r.Events = a.progressSink("campaign")
 	return r
 }
 
-// writeJournaledSummary renders the journaled campaign summary: the
-// standard coverage block, plus a trailing progress comment only while
-// trials are still missing — so the final progressive report file is
-// byte-identical to the summary an uninterrupted run prints on stdout.
-func writeJournaledSummary(w io.Writer, cr *harness.CampaignResult, done, total int) {
-	printCampaignSummary(w, "journaled", cr)
+// writeJournaledSummary renders the journaled summary: the standard
+// block, plus a trailing progress comment only while trials are still
+// missing — so the final progressive report file is byte-identical to
+// the summary an uninterrupted run prints on stdout.
+func writeJournaledSummary(w io.Writer, res harness.Result, done, total int) {
+	printSummary(w, "journaled", res)
 	if done < total {
 		fmt.Fprintf(w, "# journal: %d of %d trials\n", done, total)
 	}
 }
 
-// writeJournaledConcurrentSummary is writeJournaledSummary's concurrent
-// analogue: the shared RenderConcurrent block plus the trailing progress
-// comment while trials are still missing.
-func writeJournaledConcurrentSummary(w io.Writer, cr *harness.ConcurrentResult, done, total int) {
-	harness.RenderConcurrent(w, cr)
-	if done < total {
-		fmt.Fprintf(w, "# journal: %d of %d trials\n", done, total)
-	}
-}
-
-// runJournaledConcurrent is runJournaledCampaign for the concurrent
-// kind: same journal directory, progressive report, and resume behavior,
-// with the concurrent merge and report block.
-func runJournaledConcurrent(ctx context.Context, a campaignArgs) int {
+// runJournaled executes the campaign against a -journal directory:
+// replayed coverage is skipped, each completed span is made durable
+// before the next starts, the progressive report re-renders after replay
+// and as spans land, and the final summary is byte-identical to a run
+// that was never interrupted.
+func runJournaled(ctx context.Context, a campaignArgs) int {
 	j, prior, err := harness.OpenJournal(a.journalDir, a.resume, a.spec)
 	if err != nil {
 		return usageFail(a.stderr, err)
@@ -682,50 +671,8 @@ func runJournaledConcurrent(ctx context.Context, a campaignArgs) int {
 	defer j.Close()
 	var snapErr error
 	var total int
-	cr, executed, err := a.journalRunner().RunConcurrentJournaled(ctx, a.spec, j, prior, harness.DefaultResumeSpans,
-		func(snapshot *harness.ConcurrentResult, done, planTotal int) {
-			total = planTotal
-			if werr := journal.WriteReport(a.journalDir, func(w io.Writer) error {
-				writeJournaledConcurrentSummary(w, snapshot, done, planTotal)
-				return nil
-			}); werr != nil && snapErr == nil {
-				snapErr = werr
-			}
-		})
-	if err != nil {
-		return execFail(a.stderr, err)
-	}
-	if snapErr != nil {
-		return execFail(a.stderr, snapErr)
-	}
-	if total == 0 {
-		// A fully replayed journal runs no span, so the snapshot callback
-		// never fired; the plan size still frames the replay message.
-		if total, err = a.journalRunner().PlanTrials(a.spec); err != nil {
-			return execFail(a.stderr, err)
-		}
-	}
-	fmt.Fprintf(a.stderr, "journal: replayed %d trials, executed %d\n", total-executed, executed)
-	warnDegraded(a.stderr, j)
-	writeJournaledConcurrentSummary(a.stdout, cr, total, total)
-	return 0
-}
-
-// runJournaledCampaign executes the campaign against a -journal
-// directory: replayed coverage is skipped, each completed span is made
-// durable before the next starts, the progressive report re-renders as
-// spans land, and the final summary is byte-identical to a run that was
-// never interrupted.
-func runJournaledCampaign(ctx context.Context, a campaignArgs) int {
-	j, prior, err := harness.OpenJournal(a.journalDir, a.resume, a.spec)
-	if err != nil {
-		return usageFail(a.stderr, err)
-	}
-	defer j.Close()
-	var snapErr error
-	var total int
-	cr, executed, err := a.journalRunner().RunCampaignJournaled(ctx, a.spec, j, prior, harness.DefaultResumeSpans,
-		func(snapshot *harness.CampaignResult, done, planTotal int) {
+	res, executed, err := a.journalRunner().RunJournaled(ctx, a.spec, j, prior, harness.DefaultResumeSpans,
+		func(snapshot harness.Result, done, planTotal int) {
 			total = planTotal
 			if werr := journal.WriteReport(a.journalDir, func(w io.Writer) error {
 				writeJournaledSummary(w, snapshot, done, planTotal)
@@ -742,7 +689,7 @@ func runJournaledCampaign(ctx context.Context, a campaignArgs) int {
 	}
 	fmt.Fprintf(a.stderr, "journal: replayed %d trials, executed %d\n", total-executed, executed)
 	warnDegraded(a.stderr, j)
-	writeJournaledSummary(a.stdout, cr, total, total)
+	writeJournaledSummary(a.stdout, res, total, total)
 	return 0
 }
 
@@ -766,13 +713,17 @@ func runCoordinatedJournaled(ctx context.Context, a campaignArgs) int {
 		return usageFail(a.stderr, err)
 	}
 	defer j.Close()
-	r := a.journalRunner()
-	resume := r.ResumeCampaign
-	if a.concurrent() {
-		resume = r.ResumeConcurrent
-	}
-	c, err := resume(a.spec, prior)
+	c, err := a.journalRunner().Resume(a.spec, prior)
 	if err != nil {
+		return execFail(a.stderr, err)
+	}
+	writeSnap := func() error {
+		return journal.WriteReport(a.journalDir, func(w io.Writer) error {
+			writeJournaledSummary(w, c.Snapshot(), c.Done(), c.Total)
+			return nil
+		})
+	}
+	if err := writeSnap(); err != nil {
 		return execFail(a.stderr, err)
 	}
 	// -coord-shards overrides the default span count; the cut itself
@@ -782,154 +733,30 @@ func runCoordinatedJournaled(ctx context.Context, a campaignArgs) int {
 	if a.coordFlags.Shards > 0 {
 		spanCount = a.coordFlags.Shards
 	}
-	parts := append([]*harness.PartialResult(nil), c.Parts...)
-	writeSnap := func() error {
-		done := 0
-		for _, p := range parts {
-			done += p.Hi - p.Lo
-		}
-		return journal.WriteReport(a.journalDir, func(w io.Writer) error {
-			if a.concurrent() {
-				writeJournaledConcurrentSummary(w, c.SnapshotConcurrent(parts), done, c.Total)
-			} else {
-				writeJournaledSummary(w, c.Snapshot(parts), done, c.Total)
-			}
-			return nil
-		})
-	}
-	if err := writeSnap(); err != nil {
-		return execFail(a.stderr, err)
-	}
-	executed := 0
+	replayed, executed := c.Done(), 0
 	if spans := c.Spans(spanCount); len(spans) > 0 {
-		cf := a.coordFlags
-		workerOpts := harness.Options{Parallel: a.parallel, Evict: a.evict, Reference: !a.compile, Precompile: a.precompile}
-		fleet := coord.FleetOptions{
-			Spec:    a.spec,
-			Workers: cf.Workers, Spans: spans, Lease: cf.Lease,
-			Chaos: cf.Chaos, Stderr: a.stderr,
-			Local: func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-				return harness.ShardPayload(ctx, spec, shard, workerOpts)
-			},
-			OnResult: func(_ int, payload []byte) error {
-				p, err := harness.AppendCampaignPayload(j, payload)
-				if err != nil {
-					return err
-				}
-				executed += p.Hi - p.Lo
-				parts = append(parts, p)
-				return writeSnap()
-			},
-		}
-		if cf.Spawn {
-			fleet.SpawnArgv = []string{
-				"-worker",
-				"-parallel", strconv.Itoa(a.parallel),
-				"-evict=" + strconv.FormatBool(a.evict),
-				"-compile=" + strconv.FormatBool(a.compile),
-				"-precompile", strconv.Itoa(a.precompile),
+		fleet := a.fleet(spans)
+		fleet.OnResult = func(_ int, payload []byte) error {
+			n, err := c.Append(j, payload)
+			if err != nil {
+				return err
 			}
-		}
-		if a.progress {
-			fleet.Log = func(format string, args ...any) {
-				fmt.Fprintf(a.stderr, "coord: "+format+"\n", args...)
-			}
+			executed += n
+			return writeSnap()
 		}
 		if _, err := coord.RunFleet(ctx, fleet); err != nil {
 			return execFail(a.stderr, err)
 		}
 	}
 	fmt.Fprintf(a.stderr, "journal: replayed %d trials, executed %d via %d workers\n",
-		c.Done(), executed, a.coordFlags.Workers)
+		replayed, executed, a.coordFlags.Workers)
 	warnDegraded(a.stderr, j)
-	if a.concurrent() {
-		cr, err := r.MergeConcurrent(a.spec, parts)
-		if err != nil {
-			return execFail(a.stderr, err)
-		}
-		writeJournaledConcurrentSummary(a.stdout, cr, c.Total, c.Total)
-		return 0
-	}
-	cr, err := r.MergeCampaign(a.spec, parts)
+	res, err := c.Merge()
 	if err != nil {
 		return execFail(a.stderr, err)
 	}
-	writeJournaledSummary(a.stdout, cr, c.Total, c.Total)
+	writeJournaledSummary(a.stdout, res, c.Total, c.Total)
 	return 0
-}
-
-// runCoordinatedCampaign schedules the campaign's shards on a worker
-// fleet — in-process goroutines or spawned `dpmr-run -worker` processes —
-// merges the streamed partials, and prints the same summary an unsharded
-// run computes. The Spec rides in every assignment.
-func runCoordinatedCampaign(ctx context.Context, a campaignArgs) int {
-	runFail := func(err error) int { return execFail(a.stderr, err) }
-	cf := a.coordFlags
-	workerOpts := harness.Options{Parallel: a.parallel, Evict: a.evict, Reference: !a.compile, Precompile: a.precompile}
-	fleet := coord.FleetOptions{
-		Spec:    a.spec,
-		Workers: cf.Workers, Shards: cf.Shards, Lease: cf.Lease,
-		Chaos: cf.Chaos, Stderr: a.stderr,
-		// In-process workers run concurrently, so each assignment gets a
-		// fresh Runner (ShardPayload with no Options.Runner).
-		Local: func(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-			return harness.ShardPayload(ctx, spec, shard, workerOpts)
-		},
-	}
-	if cf.Spawn {
-		fleet.SpawnArgv = []string{
-			"-worker",
-			"-parallel", strconv.Itoa(a.parallel),
-			"-evict=" + strconv.FormatBool(a.evict),
-			"-compile=" + strconv.FormatBool(a.compile),
-			"-precompile", strconv.Itoa(a.precompile),
-		}
-	}
-	if a.progress {
-		fleet.Log = func(format string, args ...any) {
-			fmt.Fprintf(a.stderr, "coord: "+format+"\n", args...)
-		}
-	}
-	payloads, err := coord.RunFleet(ctx, fleet)
-	if err != nil {
-		return runFail(err)
-	}
-	parts := make([]*harness.PartialResult, len(payloads))
-	for i, payload := range payloads {
-		p, err := harness.DecodePartial(bytes.NewReader(payload))
-		if err != nil {
-			return runFail(fmt.Errorf("shard %d: %w", i, err))
-		}
-		parts[i] = p
-	}
-	return mergeAndPrint(a, parts, fmt.Sprintf("%d shards via %d workers", len(payloads), cf.Workers))
-}
-
-// runRemoteCampaign submits the campaign Spec to a dpmrd daemon and
-// merges the shard payloads it streams back. The daemon schedules the
-// shards on its fleet (and journals them if it runs with -journal); the
-// client-side merge recomputes the summary from the exact tiling, so
-// the printed report is byte-identical to a local run no matter how the
-// fleet carved it up.
-func runRemoteCampaign(ctx context.Context, a campaignArgs) int {
-	runFail := func(err error) int { return execFail(a.stderr, err) }
-	var sink func(harness.Event)
-	if a.progress {
-		sink = harness.RenderProgress(a.stderr, "campaign@"+a.remote)
-	}
-	payloads, err := coordnet.Submit(ctx, a.remote, a.spec, sink)
-	if err != nil {
-		return runFail(err)
-	}
-	parts := make([]*harness.PartialResult, len(payloads))
-	for i, payload := range payloads {
-		p, err := harness.DecodePartial(bytes.NewReader(payload))
-		if err != nil {
-			return runFail(fmt.Errorf("shard %d: %w", i, err))
-		}
-		parts[i] = p
-	}
-	return mergeAndPrint(a, parts, fmt.Sprintf("%d shards via dpmrd", len(parts)))
 }
 
 // printCampaignSummary prints one coverage block per (workload, variant)

@@ -428,6 +428,37 @@ func TestConcurrentJournalEndToEnd(t *testing.T) {
 	}
 }
 
+// TestConcurrentResumeRewritesReport: resuming a concurrent journal that
+// already covers the whole plan still renders the progressive report
+// (the after-replay snapshot), so a report.txt lost or left stale since
+// the original run is rewritten byte-identical to stdout.
+func TestConcurrentResumeRewritesReport(t *testing.T) {
+	base := []string{"-workload", "chash", "-campaign", "-dpmr", "-runs", "4"}
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := runCLI(append(base, "-journal", dir), noStdin(), &stdout, &stderr); code != 0 {
+		t.Fatalf("journaled concurrent campaign failed: %s", stderr.String())
+	}
+	reportPath := filepath.Join(dir, "report.txt")
+	if err := os.Remove(reportPath); err != nil {
+		t.Fatal(err)
+	}
+	var resumed, rerr bytes.Buffer
+	if code := runCLI(append(base, "-journal", dir, "-resume"), noStdin(), &resumed, &rerr); code != 0 {
+		t.Fatalf("resume of complete journal failed: %s", rerr.String())
+	}
+	if !strings.Contains(rerr.String(), "replayed 4 trials, executed 0") {
+		t.Errorf("resume of a complete journal: stderr %q, want a full replay", rerr.String())
+	}
+	report, err := os.ReadFile(reportPath)
+	if err != nil {
+		t.Fatalf("resume did not rewrite report.txt: %v", err)
+	}
+	if string(report) != resumed.String() {
+		t.Errorf("rewritten report.txt differs from stdout:\n--- report.txt ---\n%s\n--- stdout ---\n%s", report, resumed.String())
+	}
+}
+
 // TestJournalFlagValidation is the -journal/-resume flag contract:
 // every bad combination is a named exit-2 usage error, before any
 // journal directory is touched.

@@ -14,8 +14,8 @@
 // shards are checked out one at a time, so concurrent client campaigns
 // interleave fairly at shard granularity.
 //
-// With -journal, campaign submissions are journaled per Spec
-// fingerprint: a client that disconnects mid-campaign and resubmits the
+// With -journal, campaign, overhead, and concurrent submissions are
+// journaled per Spec fingerprint: a client that disconnects mid-campaign and resubmits the
 // identical Spec resumes from the completed spans instead of starting
 // over. A severed worker socket is just an expired lease — the
 // coordinator re-leases the shard, the worker redials and rejoins, and
@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		listen     = fs.String("listen", "", "serve the campaign service on this TCP host:port or Unix socket path")
 		connect    = fs.String("connect", "", "join the fleet of the daemon at this address as a worker instead of serving")
 		workers    = fs.Int("workers", 0, "in-process worker slots the daemon contributes to its own fleet (-listen mode)")
-		journal    = fs.String("journal", "", "journal campaign submissions under this `dir` (per Spec fingerprint) so a disconnected client's resubmission resumes")
+		journal    = fs.String("journal", "", "journal campaign, overhead, and concurrent submissions under this `dir` (per Spec fingerprint) so a disconnected client's resubmission resumes")
 		lease      = fs.Duration("lease", 5*time.Minute, "per-shard lease; an assignment outliving it is speculatively re-leased, and a dead fleet fails submissions instead of hanging them")
 		keepalive  = fs.Duration("keepalive", 30*time.Second, "ping idle worker sockets at this interval and drop the unresponsive (0 disables)")
 		katimeout  = fs.Duration("keepalive-timeout", 0, "how long an idle worker may take to answer a keepalive ping before it is dropped (0 = the -keepalive interval)")

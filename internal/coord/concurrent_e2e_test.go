@@ -65,17 +65,11 @@ func TestCoordinatorConcurrentByteIdentical(t *testing.T) {
 	if atomic.LoadInt32(&failed) != 1 {
 		t.Fatal("the fault was never injected")
 	}
-	parts := make([]*harness.PartialResult, len(payloads))
-	for i, p := range payloads {
-		if parts[i], err = harness.DecodePartial(bytes.NewReader(p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := harness.NewRunner().MergeConcurrent(spec, parts)
+	merged, err := harness.NewRunner().Merge(spec, payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := renderConcurrent(t, merged); !bytes.Equal(golden, got) {
+	if got := renderConcurrent(t, merged.Concurrent); !bytes.Equal(golden, got) {
 		t.Errorf("coordinated merge differs from unsharded run:\n--- unsharded ---\n%s--- merged ---\n%s", golden, got)
 	}
 }

@@ -8,7 +8,10 @@ package coord
 import (
 	"flag"
 	"fmt"
+	"strconv"
 	"time"
+
+	"dpmr/internal/harness"
 )
 
 // CLIFlags is the parsed -coord* flag family. Register it on a FlagSet,
@@ -79,3 +82,16 @@ func (c *CLIFlags) Validate(fs *flag.FlagSet) error {
 
 // Enabled reports whether a coordinator run was requested.
 func (c *CLIFlags) Enabled() bool { return c.Workers != 0 }
+
+// WorkerArgv is the flag line of a spawned `-worker` process: pure
+// execution policy. The experiment description travels in each
+// Assignment, so nothing here can change the plan or its fingerprint.
+func WorkerArgv(opts harness.Options) []string {
+	return []string{
+		"-worker",
+		"-parallel", strconv.Itoa(max(opts.Parallel, 1)),
+		"-evict=" + strconv.FormatBool(opts.Evict),
+		"-compile=" + strconv.FormatBool(!opts.Reference),
+		"-precompile", strconv.Itoa(opts.Precompile),
+	}
+}

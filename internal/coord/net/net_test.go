@@ -10,6 +10,7 @@ package coordnet_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -293,6 +294,75 @@ func TestClientDisconnectResume(t *testing.T) {
 	if !reflect.DeepEqual(golden, resumed) {
 		t.Errorf("resumed campaign differs from uninterrupted run:\n--- uninterrupted ---\n%#v\n--- resumed ---\n%#v",
 			golden, resumed)
+	}
+
+	shutdown()
+	checkGoroutines(t, before)
+}
+
+// TestConcurrentSubmissionJournalsAndResumes: dpmrd -journal covers the
+// concurrent kind like campaigns. A client that vanishes after the first
+// journaled span leaves a journal behind; resubmitting the Spec replays
+// it (the daemon logs the replayed trials) and the client-side merge
+// renders the pinned golden report.
+func TestConcurrentSubmissionJournalsAndResumes(t *testing.T) {
+	spec := harness.ConcurrentSpec([]string{"chash"}, []harness.Variant{harness.NewVariant(dpmr.SDS, dpmr.NoDiversity{}, dpmr.AllLoads{})})
+	spec.Runs = 4
+	golden, err := os.ReadFile(filepath.Join("..", "..", "harness", "testdata", "golden", "chash.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+
+	logs := make(chan string, 256)
+	_, addr, shutdown := daemon(t, coordnet.ServerConfig{
+		LocalWorkers: 1,
+		JournalRoot:  t.TempDir(),
+		Log: func(format string, args ...any) {
+			select {
+			case logs <- fmt.Sprintf(format, args...):
+			default:
+			}
+		},
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err = coordnet.Submit(ctx, addr, spec, func(harness.Event) { cancel() })
+	cancel()
+	if err == nil {
+		t.Fatal("interrupted Submit returned no error")
+	}
+	deadline := time.After(10 * time.Second)
+	for settled := false; !settled; {
+		select {
+		case line := <-logs:
+			settled = strings.Contains(line, "submission failed") || strings.Contains(line, "delivering result")
+		case <-deadline:
+			t.Fatal("daemon never settled the severed submission")
+		}
+	}
+
+	payloads, err := coordnet.Submit(context.Background(), addr, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := false
+	for len(logs) > 0 {
+		if line := <-logs; strings.Contains(line, "resumes with") {
+			replayed = true
+		}
+	}
+	if !replayed {
+		t.Error("the resubmitted concurrent spec did not resume from the daemon's journal")
+	}
+	res, err := harness.NewRunner().Merge(spec, payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	harness.RenderConcurrent(&got, res.Concurrent)
+	if !bytes.Equal(golden, got.Bytes()) {
+		t.Errorf("resumed concurrent report differs from the golden:\n--- golden ---\n%s--- got ---\n%s", golden, got.Bytes())
 	}
 
 	shutdown()

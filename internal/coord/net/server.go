@@ -9,7 +9,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,8 +192,9 @@ type ServerConfig struct {
 	// WorkerOptions is the execution policy (parallelism, compilation,
 	// eviction, prefetch) for the daemon's local workers.
 	WorkerOptions harness.Options
-	// JournalRoot, when set, journals every campaign-kind submission
-	// under JournalRoot/<spec fingerprint prefix>/ — a client that
+	// JournalRoot, when set, journals every single-plan submission
+	// (campaign, overhead, concurrent) under
+	// JournalRoot/<spec fingerprint prefix>/ — a client that
 	// disconnects mid-campaign and resubmits the identical Spec resumes
 	// from the journaled spans instead of starting over.
 	JournalRoot string
@@ -448,7 +448,7 @@ func (s *Server) execute(ctx context.Context, spec harness.Spec, fp string, emit
 		// until a worker joins, bounded by the lease/attempt limits.
 		workers = 1
 	}
-	if spec.Kind == harness.SpecCampaign && s.cfg.JournalRoot != "" {
+	if spec.Kind != harness.SpecExperiment && s.cfg.JournalRoot != "" {
 		if s.claimJournal(fp) {
 			defer s.releaseJournal(fp)
 			return s.executeJournaled(ctx, spec, fp, workers, emit)
@@ -493,13 +493,14 @@ func (s *Server) releaseJournal(fp string) {
 	delete(s.claims, fp)
 }
 
-// executeJournaled runs a campaign Spec through its per-fingerprint
-// journal dir: spans already journaled (by an earlier submission the
-// client abandoned) replay instead of re-running, the remaining gaps are
-// leased to the fleet as explicit spans, and every first-completed span
-// is made durable before the coordinator moves past it. The final
-// payload set tiles the full plan, so the client-side fingerprint merge
-// validates it exactly like any sharded run.
+// executeJournaled runs a single-plan Spec (campaign, overhead, or
+// concurrent) through its per-fingerprint journal dir: spans already
+// journaled (by an earlier submission the client abandoned) replay
+// instead of re-running, the remaining gaps are leased to the fleet as
+// explicit spans, and every first-completed span is made durable before
+// the coordinator moves past it. The final payload set tiles the full
+// plan, so the client-side fingerprint merge validates it exactly like
+// any sharded run.
 func (s *Server) executeJournaled(ctx context.Context, spec harness.Spec, fp string, workers int, emit func(harness.Event)) ([][]byte, error) {
 	dir := filepath.Join(s.cfg.JournalRoot, fp[:16])
 	resume := false
@@ -521,30 +522,18 @@ func (s *Server) executeJournaled(ctx context.Context, spec harness.Spec, fp str
 		}
 	}()
 
-	cr, err := harness.NewRunner().ResumeCampaign(spec, rp)
+	c, err := harness.NewRunner().Resume(spec, rp)
 	if err != nil {
 		return nil, err
 	}
-
-	type loPayload struct {
-		lo      int
-		payload []byte
+	for _, ev := range c.Covered() {
+		emit(ev)
 	}
-	var out []loPayload
-	for _, p := range cr.Parts {
-		payload, err := json.Marshal(p)
-		if err != nil {
-			return nil, fmt.Errorf("coordnet: re-encoding journaled partial: %w", err)
-		}
-		out = append(out, loPayload{p.Lo, payload})
-		emit(harness.ShardMerged{Shard: harness.SpanShard(p.Lo, p.Hi), Lo: p.Lo, Hi: p.Hi, Total: p.Total,
-			Elapsed: time.Duration(p.ElapsedMS) * time.Millisecond})
-	}
-	if resume && len(cr.Parts) > 0 {
-		s.logf("dpmrd: spec %.12s resumes with %d of %d trials journaled", fp, cr.Done(), cr.Total)
+	if replayed := c.Done(); resume && replayed > 0 {
+		s.logf("dpmrd: spec %.12s resumes with %d of %d trials journaled", fp, replayed, c.Total)
 	}
 
-	spans := cr.Spans(2 * workers)
+	spans := c.Spans(2 * workers)
 	if len(spans) > 0 {
 		co, err := coord.New(coord.Config{
 			Spec:    spec,
@@ -553,7 +542,7 @@ func (s *Server) executeJournaled(ctx context.Context, spec harness.Spec, fp str
 			Lease:   s.cfg.Lease,
 			Spawn:   s.spawnProxy,
 			OnResult: func(shard int, payload []byte) error {
-				if _, err := harness.AppendCampaignPayload(j, payload); err != nil {
+				if _, err := c.Append(j, payload); err != nil {
 					return err
 				}
 				emit(shardMergedEvent(payload, spans[shard]))
@@ -564,20 +553,11 @@ func (s *Server) executeJournaled(ctx context.Context, spec harness.Spec, fp str
 		if err != nil {
 			return nil, err
 		}
-		payloads, err := co.Run(ctx)
-		if err != nil {
+		if _, err := co.Run(ctx); err != nil {
 			return nil, err
 		}
-		for i, payload := range payloads {
-			out = append(out, loPayload{spans[i].Lo, payload})
-		}
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].lo < out[k].lo })
-	result := make([][]byte, len(out))
-	for i, lp := range out {
-		result[i] = lp.payload
-	}
-	return result, nil
+	return c.Payloads()
 }
 
 // shardMergedEvent builds the client-facing shard event from a payload's

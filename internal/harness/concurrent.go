@@ -6,8 +6,8 @@ package harness
 // flat trial plan — per concurrent workload, every variant, Runs runs,
 // run rn exploring schedule SchedSeed+rn — is a pure function of the
 // normalized concurrent Spec, exactly like campaign and overhead plans,
-// so the whole shard/merge/journal/coordinator machinery applies
-// unchanged: shards emit ordinary PartialResults and MergeConcurrent
+// so the whole shard/merge/journal/coordinator pipeline (plan.go)
+// applies unchanged: shards emit ordinary PartialResults and Merge
 // reassembles a result byte-identical to an unsharded run.
 //
 // Concurrent trials always execute on the tree-walking reference
@@ -24,15 +24,12 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"dpmr/internal/consist"
 	"dpmr/internal/dpmr"
 	"dpmr/internal/extlib"
-	"dpmr/internal/failpt"
 	"dpmr/internal/interp"
 	"dpmr/internal/ir"
-	"dpmr/internal/journal"
 	"dpmr/internal/sched"
 	"dpmr/internal/workloads"
 )
@@ -47,9 +44,10 @@ type concurrentTrial struct {
 // concurrentPlan is the canonical flat trial layout of a concurrent
 // campaign. Like campaignPlan it is a pure function of its normalized
 // Spec, so contiguous index ranges are a host-independent sharding unit
-// and the fingerprint lets MergeConcurrent refuse partials cut from a
-// different plan.
+// and the fingerprint lets Merge refuse partials cut from a different
+// plan.
 type concurrentPlan struct {
+	outcomeWire
 	workloads   []string
 	variants    []Variant
 	threads     int
@@ -194,10 +192,13 @@ func (r *Runner) runConcurrentOnce(w workloads.ConcurrentWorkload, v Variant, th
 	return o, nil
 }
 
-// execConcurrentTrials runs plan.trials[lo:hi] on the worker pool and
-// returns their classifications, with the same completed-prefix
-// cancellation contract as execTrials.
-func (r *Runner) execConcurrentTrials(ctx context.Context, plan *concurrentPlan, lo, hi int) ([]TrialOutcome, error) {
+func (plan *concurrentPlan) fp() string { return plan.fingerprint }
+func (plan *concurrentPlan) size() int  { return len(plan.trials) }
+
+// exec runs trials [lo, hi) on the worker pool and returns their
+// classifications, with the same completed-prefix cancellation contract
+// as campaignPlan.exec.
+func (plan *concurrentPlan) exec(ctx context.Context, r *Runner, lo, hi int) ([]TrialOutcome, error) {
 	outcomes := make([]TrialOutcome, hi-lo)
 	errs := make([]error, hi-lo)
 	done := r.fanOut(ctx, hi-lo, func(i int) {
@@ -278,10 +279,10 @@ func (cr *ConcurrentResult) Cell(variant Variant, workload string) *ConcurrentCe
 	return cr.Cells[variant.Label()][workload]
 }
 
-// aggregateConcurrent folds the full plan's trial outcomes into a
-// ConcurrentResult in canonical order — identical iteration whether the
-// outcomes came from one process or merged shards.
-func aggregateConcurrent(plan *concurrentPlan, outcomes []TrialOutcome) *ConcurrentResult {
+// aggregate folds the full plan's trial outcomes into a ConcurrentResult
+// in canonical order — identical iteration whether the outcomes came
+// from one process or merged shards.
+func (plan *concurrentPlan) aggregate(outcomes []TrialOutcome) *ConcurrentResult {
 	cr := &ConcurrentResult{
 		Workloads: plan.workloads,
 		Variants:  plan.variants,
@@ -322,223 +323,13 @@ func RenderConcurrent(w io.Writer, cr *ConcurrentResult) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Entry points
-
 // RunConcurrent executes the full concurrent campaign the Spec
 // describes: every concurrent workload × every variant × Runs scheduled
 // group runs. Like RunCampaign, trials execute on the worker pool and
 // outcomes aggregate in canonical order, so the result is byte-identical
 // at every worker count; a Runner configured with a proper shard is
-// refused — use RunConcurrentPartial and MergeConcurrent.
+// refused — shard with a Session (WithShard) or ShardPayload, then Merge.
 func (r *Runner) RunConcurrent(ctx context.Context, spec Spec) (*ConcurrentResult, error) {
-	spec, err := spec.normalizedAs(SpecConcurrent, "RunConcurrent")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	if !r.Shard.IsZero() && r.Shard != (ShardSpec{Index: 0, Count: 1}) {
-		return nil, fmt.Errorf("harness: RunConcurrent with Shard %s: a shard covers only part of the plan; use RunConcurrentPartial and MergeConcurrent", r.Shard)
-	}
-	r.applySpec(spec)
-	plan, err := planConcurrent(spec)
-	if err != nil {
-		return nil, err
-	}
-	outcomes, err := r.execConcurrentTrials(ctx, plan, 0, len(plan.trials))
-	if err != nil {
-		return nil, err
-	}
-	return aggregateConcurrent(plan, outcomes), nil
-}
-
-// RunConcurrentPartial executes only the Runner's shard of the
-// concurrent plan and returns the indexed partial result — an ordinary
-// PartialResult, so the coordinator protocol, journal records, and
-// partial files carry concurrent shards without a new wire shape. A zero
-// Shard runs the whole plan as shard 0/1; combine shards with
-// MergeConcurrent. Cancellation returns the completed-prefix partial
-// together with ctx's error.
-func (r *Runner) RunConcurrentPartial(ctx context.Context, spec Spec) (*PartialResult, error) {
-	p, _, err := r.runConcurrentPartial(ctx, spec)
-	return p, err
-}
-
-// runConcurrentPartial also exposes the plan, for Session and the
-// journaled driver.
-func (r *Runner) runConcurrentPartial(ctx context.Context, spec Spec) (*PartialResult, *concurrentPlan, error) {
-	spec, err := spec.normalizedAs(SpecConcurrent, "RunConcurrentPartial")
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.validate(); err != nil {
-		return nil, nil, err
-	}
-	shard := r.Shard
-	if shard.IsZero() {
-		shard = ShardSpec{Index: 0, Count: 1}
-	}
-	r.applySpec(spec)
-	plan, err := planConcurrent(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	lo, hi := shard.shardRange(len(plan.trials))
-	start := time.Now()
-	outcomes, err := r.execConcurrentTrials(ctx, plan, lo, hi)
-	if err != nil && !cancelled(ctx, err) {
-		return nil, nil, err
-	}
-	return &PartialResult{
-		Fingerprint: plan.fingerprint,
-		Shard:       shard,
-		Lo:          lo,
-		Hi:          lo + len(outcomes),
-		Total:       len(plan.trials),
-		Outcomes:    outcomes,
-		ElapsedMS:   time.Since(start).Milliseconds(),
-	}, plan, err
-}
-
-// MergeConcurrent reassembles a full ConcurrentResult from the partial
-// results of a sharded concurrent run, with the same fingerprint and
-// exact-tiling validation as MergeCampaign. The merged result is
-// byte-identical to an unsharded RunConcurrent of the same Spec; one
-// ShardMerged event is emitted per partial, in canonical range order.
-func (r *Runner) MergeConcurrent(spec Spec, parts []*PartialResult) (*ConcurrentResult, error) {
-	spec, err := spec.normalizedAs(SpecConcurrent, "MergeConcurrent")
-	if err != nil {
-		return nil, err
-	}
-	r.applySpec(spec)
-	plan, err := planConcurrent(spec)
-	if err != nil {
-		return nil, err
-	}
-	total := len(plan.trials)
-	spans := make([]planSpan, len(parts))
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("harness: MergeConcurrent: nil partial result")
-		}
-		if err := p.check(); err != nil {
-			return nil, err
-		}
-		spans[i] = planSpan{shard: p.Shard, lo: p.Lo, hi: p.Hi, total: p.Total, fingerprint: p.Fingerprint}
-	}
-	order, err := tileSpans("MergeConcurrent", plan.fingerprint, total, spans)
-	if err != nil {
-		return nil, err
-	}
-	outcomes := make([]TrialOutcome, total)
-	for _, i := range order {
-		copy(outcomes[parts[i].Lo:parts[i].Hi], parts[i].Outcomes)
-		r.notify(ShardMerged{Shard: parts[i].Shard, Lo: parts[i].Lo, Hi: parts[i].Hi, Total: parts[i].Total,
-			Elapsed: time.Duration(parts[i].ElapsedMS) * time.Millisecond})
-	}
-	return aggregateConcurrent(plan, outcomes), nil
-}
-
-// ---------------------------------------------------------------------------
-// Journaled execution: the concurrent kind rides the campaign journal
-// machinery (resume.go) unchanged — concurrent shards are ordinary
-// PartialResults, so record decoding, gap computation, and adaptive span
-// cutting are shared; only the plan and merge are kind-specific.
-
-// ResumeConcurrent recomputes the concurrent Spec's canonical plan and
-// diffs it against the journal replay, exactly like ResumeCampaign.
-func (r *Runner) ResumeConcurrent(spec Spec, rp *journal.Replay) (*CampaignResume, error) {
-	spec, err := spec.normalizedAs(SpecConcurrent, "ResumeConcurrent")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	r.applySpec(spec)
-	plan, err := planConcurrent(spec)
-	if err != nil {
-		return nil, err
-	}
-	c := &CampaignResume{spec: spec, cplan: plan, PlanFP: plan.fingerprint, Total: len(plan.trials)}
-	if rp != nil {
-		for _, rec := range rp.Plan(plan.fingerprint) {
-			p, err := decodeJournaledPartial(rec, plan.fingerprint, len(plan.trials))
-			if err != nil {
-				return nil, err
-			}
-			c.Parts = append(c.Parts, p)
-		}
-	}
-	c.Gaps, err = rangeGaps(c.Parts, len(plan.trials))
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// SnapshotConcurrent aggregates the given parts over zero-valued
-// stand-ins for the uncovered trials — the progressive mid-campaign view
-// of a journaled or coordinated concurrent run, the concurrent analogue
-// of Snapshot. It requires a resume built by ResumeConcurrent.
-func (c *CampaignResume) SnapshotConcurrent(parts []*PartialResult) *ConcurrentResult {
-	outcomes := make([]TrialOutcome, c.Total)
-	for _, p := range parts {
-		copy(outcomes[p.Lo:p.Hi], p.Outcomes)
-	}
-	return aggregateConcurrent(c.cplan, outcomes)
-}
-
-// RunConcurrentJournaled executes a concurrent campaign against a
-// journal: replayed coverage is kept, the remaining gaps run as
-// adaptively cut spans, each completed span is appended durably before
-// the next starts, and the full set merges into a final result
-// byte-identical to an uninterrupted RunConcurrent. The returned int
-// counts trials executed by this call (excluding replayed coverage).
-// snap, when non-nil, receives a structurally complete progressive
-// result after every durable span, exactly like RunCampaignJournaled.
-func (r *Runner) RunConcurrentJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior *journal.Replay, spans int,
-	snap func(cr *ConcurrentResult, done, total int)) (*ConcurrentResult, int, error) {
-	c, err := r.ResumeConcurrent(spec, prior)
-	if err != nil {
-		return nil, 0, err
-	}
-	parts := c.Parts
-	executed := 0
-	for _, span := range c.Spans(spans) {
-		if err := failpt.Err(siteSpan); err != nil {
-			return nil, executed, err
-		}
-		saved := r.Shard
-		r.Shard = span
-		p, _, err := r.runConcurrentPartial(ctx, c.spec)
-		r.Shard = saved
-		if err != nil && (p == nil || !cancelled(ctx, err)) {
-			return nil, executed, err
-		}
-		if p.Hi > p.Lo {
-			if aerr := appendCampaignPartial(j, p); aerr != nil {
-				return nil, executed, aerr
-			}
-			executed += p.Hi - p.Lo
-			parts = append(parts, p)
-			if snap != nil {
-				done := 0
-				for _, q := range parts {
-					done += q.Hi - q.Lo
-				}
-				snap(c.SnapshotConcurrent(parts), done, c.Total)
-			}
-		}
-		if err != nil {
-			return nil, executed, err
-		}
-	}
-	merged, err := r.MergeConcurrent(c.spec, parts)
-	if err != nil {
-		return nil, executed, err
-	}
-	return merged, executed, nil
+	res, err := r.runWhole(ctx, spec, SpecConcurrent, "RunConcurrent")
+	return res.Concurrent, err
 }

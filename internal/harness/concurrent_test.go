@@ -98,33 +98,23 @@ func TestConcurrentShardsMergeByteIdentical(t *testing.T) {
 	spec := smallConcurrent()
 	whole := concurrentAt(t, 2)
 	for _, count := range []int{2, 3} {
-		var parts []*PartialResult
+		var payloads [][]byte
 		for idx := 0; idx < count; idx++ {
-			r := NewRunner()
-			r.Parallel = 2
-			r.Shard = ShardSpec{Index: idx, Count: count}
-			p, err := r.RunConcurrentPartial(context.Background(), spec)
+			p, err := ShardPayload(context.Background(), spec, ShardSpec{Index: idx, Count: count}, Options{Parallel: 2})
 			if err != nil {
 				t.Fatalf("shard %d/%d: %v", idx, count, err)
 			}
-			var buf bytes.Buffer
-			if err := p.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
-			rt, err := DecodePartial(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts = append(parts, rt)
+			payloads = append(payloads, p)
 		}
 		// Reversed input order: merge must reassemble by plan range.
-		for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-			parts[i], parts[j] = parts[j], parts[i]
+		for i, j := 0, len(payloads)-1; i < j; i, j = i+1, j-1 {
+			payloads[i], payloads[j] = payloads[j], payloads[i]
 		}
-		merged, err := NewRunner().MergeConcurrent(spec, parts)
+		res, err := NewRunner().Merge(spec, payloads)
 		if err != nil {
 			t.Fatalf("merge %d shards: %v", count, err)
 		}
+		merged := res.Concurrent
 		if got, want := renderConc(merged), renderConc(whole); got != want {
 			t.Errorf("%d-shard merge differs from unsharded run:\n--- unsharded ---\n%s--- merged ---\n%s",
 				count, want, got)
@@ -168,7 +158,7 @@ func TestConcurrentJournaledMatchesDirect(t *testing.T) {
 	j, dir, fp := newTestJournal(t, spec)
 	r := NewRunner()
 	r.Parallel = 2
-	got, executed, err := r.RunConcurrentJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil)
+	got, executed, err := r.RunJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,22 +169,22 @@ func TestConcurrentJournaledMatchesDirect(t *testing.T) {
 	if executed != total {
 		t.Errorf("fresh journaled run executed %d trials, want %d", executed, total)
 	}
-	if renderConc(got) != want {
+	if renderConc(got.Concurrent) != want {
 		t.Errorf("journaled report differs from direct run:\n--- direct ---\n%s--- journaled ---\n%s",
-			want, renderConc(got))
+			want, renderConc(got.Concurrent))
 	}
 	j.Close()
 
 	j2, rp := reopenJournal(t, dir, fp)
 	defer j2.Close()
-	again, executed2, err := NewRunner().RunConcurrentJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
+	again, executed2, err := NewRunner().RunJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if executed2 != 0 {
 		t.Errorf("replay of a complete journal re-executed %d trials", executed2)
 	}
-	if renderConc(again) != want {
+	if renderConc(again.Concurrent) != want {
 		t.Errorf("replayed report differs from direct run")
 	}
 }
@@ -222,37 +212,27 @@ func TestConcurrentConsistViolSurfaces(t *testing.T) {
 		if err := failpt.Arm(fmt.Sprintf("mem/trace-drop=drop@%d", k)); err != nil {
 			t.Fatal(err)
 		}
-		r := NewRunner()
-		p, err := r.RunConcurrentPartial(context.Background(), spec)
+		s, err := Start(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Wait()
 		failpt.Disarm()
 		if err != nil {
 			t.Fatal(err)
 		}
 		viol := false
-		for _, o := range p.Outcomes {
+		for _, o := range res.ConcurrentPartial.Outcomes {
 			viol = viol || o.ConsistViol
 		}
 		if !viol {
 			continue
 		}
-		plan, err := planConcurrent(mustNormalize(t, spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := renderConc(aggregateConcurrent(plan, p.Outcomes))
+		out := renderConc(res.Concurrent)
 		if !strings.Contains(out, "1.00\n") || !strings.Contains(out, "ConsistViol") {
 			t.Fatalf("violating trial not visible in report:\n%s", out)
 		}
 		return
 	}
 	t.Fatal("no probed trace-drop position provoked a consistency violation")
-}
-
-func mustNormalize(t *testing.T, spec Spec) Spec {
-	t.Helper()
-	n, err := spec.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
 }

@@ -3,6 +3,10 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -105,4 +109,118 @@ func TestFuzzMergeSeedRoundTrips(t *testing.T) {
 	if a.String() != b.String() {
 		t.Errorf("merged single-shard report differs from direct run:\n%s\nvs\n%s", a.String(), b.String())
 	}
+}
+
+// parentShardFiles lists the checked-in shard outputs of an earlier
+// binary: real partial files every decoder fuzzer is seeded from.
+func parentShardFiles(f *testing.F, pattern string) [][]byte {
+	f.Helper()
+	names, err := filepath.Glob(filepath.Join("testdata", "parent", pattern))
+	if err != nil || len(names) == 0 {
+		f.Fatalf("no seed files match %s: %v", pattern, err)
+	}
+	var seeds [][]byte
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, data)
+	}
+	return seeds
+}
+
+// experimentSeeds returns the checked-in experiment partials plus, as
+// JSON documents of their own, every campaign and overhead partial
+// nested inside them.
+func experimentSeeds(f *testing.F) (exps, campaigns, overheads [][]byte) {
+	f.Helper()
+	exps = parentShardFiles(f, "fig3.*-shard*.json")
+	for _, data := range exps {
+		ep, err := DecodeExperimentPartial(bytes.NewReader(data))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, p := range ep.Campaigns {
+			b, _ := json.Marshal(p)
+			campaigns = append(campaigns, b)
+		}
+		for _, p := range ep.Overheads {
+			b, _ := json.Marshal(p)
+			overheads = append(overheads, b)
+		}
+	}
+	return exps, campaigns, overheads
+}
+
+// checkRoundTrip asserts that an accepted decode is a fixed point of
+// Encode→Decode: the re-encoded value decodes again, to a value that
+// encodes to the identical bytes.
+func checkRoundTrip[T any](t *testing.T, v T, encode func(T, io.Writer) error, decode func(io.Reader) (T, error)) {
+	t.Helper()
+	var first, second bytes.Buffer
+	if err := encode(v, &first); err != nil {
+		t.Fatalf("encoding an accepted value: %v", err)
+	}
+	again, err := decode(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("re-decoding an accepted value: %v\n%s", err, first.Bytes())
+	}
+	if err := encode(again, &second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("round trip changed the value:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+	}
+}
+
+// FuzzDecodePartial: arbitrary bytes either decode into a partial
+// result that round-trips, or are refused with an error — never a panic.
+func FuzzDecodePartial(f *testing.F) {
+	_, campaigns, _ := experimentSeeds(f)
+	for _, seed := range append(parentShardFiles(f, "chash-shard*.json"), campaigns...) {
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"fingerprint":"f","lo":0,"hi":0,"total":0,"outcomes":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodePartial(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, p, (*PartialResult).Encode, DecodePartial)
+	})
+}
+
+// FuzzDecodeOverheadPartial is FuzzDecodePartial for overhead partials.
+func FuzzDecodeOverheadPartial(f *testing.F) {
+	_, _, overheads := experimentSeeds(f)
+	for _, seed := range overheads {
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"fingerprint":"f","lo":1,"hi":2,"total":2,"cycles":[18446744073709551615]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeOverheadPartial(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, p, (*OverheadPartial).Encode, DecodeOverheadPartial)
+	})
+}
+
+// FuzzDecodeExperimentPartial is FuzzDecodePartial for the experiment
+// partials dpmr-exp shards write.
+func FuzzDecodeExperimentPartial(f *testing.F) {
+	exps, _, _ := experimentSeeds(f)
+	for _, seed := range exps {
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"exp":"x","campaigns":[null]}`))
+	encode := func(ep *ExperimentPartial, w io.Writer) error { return json.NewEncoder(w).Encode(ep) }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ep, err := DecodeExperimentPartial(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, ep, encode, DecodeExperimentPartial)
+	})
 }

@@ -69,11 +69,15 @@ func checkGolden(t *testing.T, name, cut string, got []byte) {
 	}
 }
 
+// The report helpers below execute on the given Runner, as a persistent
+// worker does: every cut of one Spec shares its module and golden
+// caches, which keeps the suite affordable under the race detector.
+
 // wholeReport runs the Spec unsharded and renders its report.
-func wholeReport(t *testing.T, spec Spec) []byte {
+func wholeReport(t *testing.T, r *Runner, spec Spec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	s, err := Start(context.Background(), spec, WithReport(&buf))
+	s, err := Start(context.Background(), spec, WithRunner(r), WithReport(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +93,12 @@ func wholeReport(t *testing.T, spec Spec) []byte {
 
 // shardedReport runs shards 0/3..2/3 as serialized payloads — the bytes
 // a worker process ships — and renders the merge.
-func shardedReport(t *testing.T, spec Spec) []byte {
+func shardedReport(t *testing.T, r *Runner, spec Spec) []byte {
 	t.Helper()
 	ctx := context.Background()
 	var payloads [][]byte
 	for i := 0; i < 3; i++ {
-		p, err := ShardPayload(ctx, spec, ShardSpec{Index: i, Count: 3}, Options{})
+		p, err := ShardPayload(ctx, spec, ShardSpec{Index: i, Count: 3}, Options{Runner: r})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,19 +122,11 @@ func mergedReport(t *testing.T, spec Spec, payloads [][]byte) []byte {
 		}
 		return buf.Bytes()
 	}
-	parts := make([]*PartialResult, len(payloads))
-	for i, p := range payloads {
-		part, err := DecodePartial(bytes.NewReader(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = part
-	}
-	cr, err := NewRunner().MergeConcurrent(spec, parts)
+	res, err := NewRunner().Merge(spec, payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	RenderConcurrent(&buf, cr)
+	RenderConcurrent(&buf, res.Concurrent)
 	return buf.Bytes()
 }
 
@@ -138,13 +134,13 @@ func mergedReport(t *testing.T, spec Spec, payloads [][]byte) []byte {
 // when prior is non-nil). With cancelMidRun the run is cancelled from
 // its first progressive snapshot that shows completed trials, and the
 // context error is returned instead of a report.
-func journaledReport(t *testing.T, spec Spec, j *journal.Journal, prior *journal.Replay, cancelMidRun bool) ([]byte, int, error) {
+func journaledReport(t *testing.T, r *Runner, spec Spec, j *journal.Journal, prior *journal.Replay, cancelMidRun bool) ([]byte, int, error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var buf bytes.Buffer
 	if spec.Kind == SpecExperiment {
-		executed, err := GenerateJournaled(ctx, spec, j, prior, DefaultResumeSpans, &buf, Options{},
+		executed, err := GenerateJournaled(ctx, spec, j, prior, DefaultResumeSpans, &buf, Options{Runner: r},
 			func(_ func(io.Writer) error, done, total int) {
 				if cancelMidRun && done > 0 && done < total {
 					cancel()
@@ -152,8 +148,8 @@ func journaledReport(t *testing.T, spec Spec, j *journal.Journal, prior *journal
 			})
 		return buf.Bytes(), executed, err
 	}
-	cr, executed, err := NewRunner().RunConcurrentJournaled(ctx, spec, j, prior, DefaultResumeSpans,
-		func(_ *ConcurrentResult, done, total int) {
+	res, executed, err := r.RunJournaled(ctx, spec, j, prior, DefaultResumeSpans,
+		func(_ Result, done, total int) {
 			if cancelMidRun && done > 0 && done < total {
 				cancel()
 			}
@@ -161,7 +157,7 @@ func journaledReport(t *testing.T, spec Spec, j *journal.Journal, prior *journal
 	if err != nil {
 		return nil, executed, err
 	}
-	RenderConcurrent(&buf, cr)
+	RenderConcurrent(&buf, res.Concurrent)
 	return buf.Bytes(), executed, nil
 }
 
@@ -170,7 +166,7 @@ func journaledReport(t *testing.T, spec Spec, j *journal.Journal, prior *journal
 func TestGoldenReports(t *testing.T) {
 	if *update {
 		for name, spec := range goldenSpecs() {
-			if err := os.WriteFile(goldenPath(name), wholeReport(t, spec), 0o644); err != nil {
+			if err := os.WriteFile(goldenPath(name), wholeReport(t, NewRunner(), spec), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -183,12 +179,15 @@ func TestGoldenReports(t *testing.T) {
 		}
 	}
 	for name, spec := range goldenSpecs() {
+		name, spec := name, spec
 		t.Run(name, func(t *testing.T) {
-			checkGolden(t, name, "whole", wholeReport(t, spec))
-			checkGolden(t, name, "sharded 0/3..2/3", shardedReport(t, spec))
+			t.Parallel()
+			r := NewRunner()
+			checkGolden(t, name, "whole", wholeReport(t, r, spec))
+			checkGolden(t, name, "sharded 0/3..2/3", shardedReport(t, r, spec))
 
 			j, dir, fp := newTestJournal(t, spec)
-			_, executed1, err := journaledReport(t, spec, j, nil, true)
+			_, executed1, err := journaledReport(t, r, spec, j, nil, true)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled journaled run: err = %v, want context.Canceled", err)
 			}
@@ -197,7 +196,7 @@ func TestGoldenReports(t *testing.T) {
 			}
 			j2, rp := reopenJournal(t, dir, fp)
 			defer j2.Close()
-			got, executed2, err := journaledReport(t, spec, j2, rp, false)
+			got, executed2, err := journaledReport(t, r, spec, j2, rp, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +240,7 @@ func TestParentArtifactsMergeAndResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			got, executed, err := journaledReport(t, spec, j, rp, false)
+			got, executed, err := journaledReport(t, NewRunner(), spec, j, rp, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -574,6 +574,7 @@ type siteJob struct {
 // the Spec's canonical JSON plus the enumerated sites, so MergeCampaign
 // can refuse partial results produced from a different plan.
 type campaignPlan struct {
+	outcomeWire
 	kind        faultinject.Kind
 	runs        int
 	workloads   []string
@@ -640,14 +641,17 @@ func (r *Runner) planCampaign(spec Spec) (*campaignPlan, error) {
 	return p, nil
 }
 
-// execTrials runs plan.trials[lo:hi] on the worker pool and returns their
-// classifications, failing with the canonical (variant, workload, site)
-// naming of the first errored trial. When ctx is cancelled mid-range,
-// dispatch stops, in-flight trials drain, and execTrials returns the
-// completed prefix of outcomes together with ctx.Err() — the
+func (p *campaignPlan) fp() string { return p.fingerprint }
+func (p *campaignPlan) size() int  { return len(p.trials) }
+
+// exec runs trials [lo, hi) on the Runner's worker pool and returns
+// their classifications, failing with the canonical (variant, workload,
+// site) naming of the first errored trial. When ctx is cancelled
+// mid-range, dispatch stops, in-flight trials drain, and exec returns
+// the completed prefix of outcomes together with ctx.Err() — the
 // completed-prefix contract graceful cancellation is built on.
-func (r *Runner) execTrials(ctx context.Context, plan *campaignPlan, lo, hi int) ([]TrialOutcome, error) {
-	trials := plan.trials[lo:hi]
+func (p *campaignPlan) exec(ctx context.Context, r *Runner, lo, hi int) ([]TrialOutcome, error) {
+	trials := p.trials[lo:hi]
 	outcomes, errs, done := r.runTrials(ctx, trials)
 	for i := 0; i < done; i++ {
 		if err := errs[i]; err != nil {
@@ -666,7 +670,7 @@ func (r *Runner) execTrials(ctx context.Context, plan *campaignPlan, lo, hi int)
 // floating-point accumulation) to the serial engine, regardless of how
 // the outcomes were produced — one process, many workers, or merged
 // shards.
-func aggregate(plan *campaignPlan, outcomes []TrialOutcome) *CampaignResult {
+func (plan *campaignPlan) aggregate(outcomes []TrialOutcome) *CampaignResult {
 	cr := &CampaignResult{
 		Kind:        plan.kind,
 		Workloads:   plan.workloads,
@@ -751,26 +755,8 @@ func cancelled(ctx context.Context, err error) bool {
 // shard (Count > 1) is refused rather than silently truncated — use
 // RunCampaignPartial and MergeCampaign for sharded execution.
 func (r *Runner) RunCampaign(ctx context.Context, spec Spec) (*CampaignResult, error) {
-	spec, err := spec.normalizedAs(SpecCampaign, "RunCampaign")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	if !r.Shard.IsZero() && r.Shard != (ShardSpec{Index: 0, Count: 1}) {
-		return nil, fmt.Errorf("harness: RunCampaign with Shard %s: a shard covers only part of the plan; use RunCampaignPartial and MergeCampaign", r.Shard)
-	}
-	r.applySpec(spec)
-	plan, err := r.planCampaign(spec)
-	if err != nil {
-		return nil, err
-	}
-	outcomes, err := r.execTrials(ctx, plan, 0, len(plan.trials))
-	if err != nil {
-		return nil, err
-	}
-	return aggregate(plan, outcomes), nil
+	res, err := r.runWhole(ctx, spec, SpecCampaign, "RunCampaign")
+	return res.Campaign, err
 }
 
 func sampleSites(sites []faultinject.Site, max int) []faultinject.Site {
@@ -783,38 +769,4 @@ func sampleSites(sites []faultinject.Site, max int) []faultinject.Site {
 		out = append(out, sites[int(float64(i)*step)])
 	}
 	return out
-}
-
-// PlanTrials reports the trial count of the Spec's canonical flat plan —
-// the unit sharding and the coordinator schedule over. Campaign,
-// overhead, and concurrent Specs all plan; experiment Specs run several
-// plans and are refused.
-func (r *Runner) PlanTrials(spec Spec) (int, error) {
-	n, err := spec.Normalized()
-	if err != nil {
-		return 0, err
-	}
-	switch n.Kind {
-	case SpecCampaign:
-		r.applySpec(n)
-		plan, err := r.planCampaign(n)
-		if err != nil {
-			return 0, err
-		}
-		return len(plan.trials), nil
-	case SpecOverhead:
-		plan, err := planOverhead(n)
-		if err != nil {
-			return 0, err
-		}
-		return len(plan.trials), nil
-	case SpecConcurrent:
-		plan, err := planConcurrent(n)
-		if err != nil {
-			return 0, err
-		}
-		return len(plan.trials), nil
-	default:
-		return 0, fmt.Errorf("harness: PlanTrials: %s specs run several plans; plan their campaigns/measurements individually", n.Kind)
-	}
 }

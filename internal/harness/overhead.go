@@ -6,9 +6,9 @@ package harness
 // variant — is a pure function of the normalized overhead Spec, so any
 // process can recompute it and claim a contiguous slice. Shard i of N
 // measures trials [i·T/N, (i+1)·T/N) and emits an OverheadPartial (cycle
-// counts plus the plan fingerprint); MergeOverhead validates the tiling
-// and aggregates in canonical order, so the merged OverheadResult — and
-// any report rendered from it — is byte-identical to an unsharded run.
+// counts plus the plan fingerprint); Merge validates the tiling and
+// aggregates in canonical order, so the merged OverheadResult — and any
+// report rendered from it — is byte-identical to an unsharded run.
 
 import (
 	"context"
@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"dpmr/internal/extlib"
 	"dpmr/internal/interp"
@@ -44,9 +43,10 @@ type overheadTrial struct {
 // overheadPlan is the canonical flat measurement layout of an overhead
 // experiment. Like campaignPlan it is a pure function of its normalized
 // Spec, so contiguous index ranges are a host-independent sharding unit
-// and the fingerprint lets MergeOverhead refuse partials cut from a
-// different plan.
+// and the fingerprint lets Merge refuse partials cut from a different
+// plan.
 type overheadPlan struct {
+	cycleWire
 	workloads   []string
 	variants    []Variant
 	trials      []overheadTrial
@@ -89,14 +89,17 @@ func planOverhead(spec Spec) (*overheadPlan, error) {
 	return p, nil
 }
 
-// execOverheadTrials measures plan.trials[lo:hi] on the worker pool and
-// returns their cycle counts, failing with the canonical naming of the
-// first errored trial. Golden measurements go through the Runner's
-// memoized golden cache, so a workload's golden executes once no matter
-// how many ratios (or shards on this Runner) need it. When ctx is
-// cancelled mid-range, the completed prefix of measurements is returned
-// together with ctx.Err() (see execTrials).
-func (r *Runner) execOverheadTrials(ctx context.Context, plan *overheadPlan, lo, hi int) ([]uint64, error) {
+func (plan *overheadPlan) fp() string { return plan.fingerprint }
+func (plan *overheadPlan) size() int  { return len(plan.trials) }
+
+// exec measures trials [lo, hi) on the worker pool and returns their
+// cycle counts, failing with the canonical naming of the first errored
+// trial. Golden measurements go through the Runner's memoized golden
+// cache, so a workload's golden executes once no matter how many ratios
+// (or shards on this Runner) need it. When ctx is cancelled mid-range,
+// the completed prefix of measurements is returned together with
+// ctx.Err() (see campaignPlan.exec).
+func (plan *overheadPlan) exec(ctx context.Context, r *Runner, lo, hi int) ([]uint64, error) {
 	cycles := make([]uint64, hi-lo)
 	errs := make([]error, hi-lo)
 	pool := r.spaces()
@@ -141,10 +144,10 @@ func (r *Runner) execOverheadTrials(ctx context.Context, plan *overheadPlan, lo,
 	return cycles, nil
 }
 
-// aggregateOverhead folds the full plan's cycle measurements into an
+// aggregate folds the full plan's cycle measurements into an
 // OverheadResult in canonical order — identical iteration (and float
 // division) whether the cycles came from one process or merged shards.
-func aggregateOverhead(plan *overheadPlan, cycles []uint64) *OverheadResult {
+func (plan *overheadPlan) aggregate(cycles []uint64) *OverheadResult {
 	or := &OverheadResult{
 		Workloads: plan.workloads,
 		Variants:  plan.variants,
@@ -176,38 +179,17 @@ func aggregateOverhead(plan *overheadPlan, cycles []uint64) *OverheadResult {
 // overhead Spec. Like RunCampaign, the measurement grid executes on the
 // worker pool and results are recorded in canonical grid order;
 // cancelling ctx stops dispatch, drains in-flight measurements, and
-// returns ctx's error.
-//
-// RunOverhead runs the whole plan: a Runner configured with a proper
-// shard (Count > 1) is refused rather than silently truncated — use
-// RunOverheadPartial and MergeOverhead for sharded execution.
+// returns ctx's error. A Runner configured with a proper shard is
+// refused: shard with a Session (WithShard) or ShardPayload, then Merge.
 func (r *Runner) RunOverhead(ctx context.Context, spec Spec) (*OverheadResult, error) {
-	spec, err := spec.normalizedAs(SpecOverhead, "RunOverhead")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	if !r.Shard.IsZero() && r.Shard != (ShardSpec{Index: 0, Count: 1}) {
-		return nil, fmt.Errorf("harness: RunOverhead with Shard %s: a shard covers only part of the plan; use RunOverheadPartial and MergeOverhead", r.Shard)
-	}
-	r.applySpec(spec)
-	plan, err := planOverhead(spec)
-	if err != nil {
-		return nil, err
-	}
-	cycles, err := r.execOverheadTrials(ctx, plan, 0, len(plan.trials))
-	if err != nil {
-		return nil, err
-	}
-	return aggregateOverhead(plan, cycles), nil
+	res, err := r.runWhole(ctx, spec, SpecOverhead, "RunOverhead")
+	return res.Overhead, err
 }
 
 // OverheadPartial is one shard's output of a sharded overhead
 // experiment: the cycle measurements of the contiguous trial range
 // [Lo, Hi) of an overhead plan identified by Fingerprint. It serializes
-// exactly like PartialResult and merges with MergeOverhead.
+// exactly like PartialResult, with cycle counts in place of outcomes.
 type OverheadPartial struct {
 	Fingerprint string    `json:"fingerprint"`
 	Shard       ShardSpec `json:"shard"`
@@ -222,20 +204,15 @@ type OverheadPartial struct {
 	ElapsedMS int64 `json:"elapsedMS,omitempty"`
 }
 
+func (p *OverheadPartial) head() partHead {
+	return partHead{fingerprint: p.Fingerprint, shard: p.Shard, lo: p.Lo, hi: p.Hi, total: p.Total, elapsedMS: p.ElapsedMS}
+}
+
+func (p *OverheadPartial) values() []uint64 { return p.Cycles }
+
 // check validates the partial's internal shape (independent of any
 // plan), so malformed input surfaces as an error, never a panic.
-func (p *OverheadPartial) check() error {
-	if p.Lo < 0 || p.Hi < p.Lo || p.Total < p.Hi {
-		return fmt.Errorf("harness: overhead partial: invalid trial range [%d, %d) of %d", p.Lo, p.Hi, p.Total)
-	}
-	if len(p.Cycles) != p.Hi-p.Lo {
-		return fmt.Errorf("harness: overhead partial: %d measurements for trial range [%d, %d)", len(p.Cycles), p.Lo, p.Hi)
-	}
-	if p.Fingerprint == "" {
-		return fmt.Errorf("harness: overhead partial: missing plan fingerprint")
-	}
-	return nil
-}
+func (p *OverheadPartial) check() error { return p.head().check("overhead partial", len(p.Cycles)) }
 
 // Encode writes the partial result as JSON.
 func (p *OverheadPartial) Encode(w io.Writer) error {
@@ -258,91 +235,13 @@ func DecodeOverheadPartial(r io.Reader) (*OverheadPartial, error) {
 	return &p, nil
 }
 
-// RunOverheadPartial measures only the Runner's shard of the overhead
-// plan and returns the indexed partial result. A zero Shard runs the
-// whole plan as shard 0/1. Combine the shards with MergeOverhead.
-//
-// Cancelling ctx drains in-flight measurements and returns the
-// completed-prefix partial (Hi trimmed to the last finished trial)
-// together with ctx's error — both non-nil.
-func (r *Runner) RunOverheadPartial(ctx context.Context, spec Spec) (*OverheadPartial, error) {
-	p, _, err := r.runOverheadPartial(ctx, spec)
-	return p, err
+// cycleWire is the wire codec of cycle-count spans — OverheadPartial —
+// embedded by the overhead plan.
+type cycleWire struct{}
+
+func (cycleWire) wrap(h partHead, vals []uint64) *OverheadPartial {
+	return &OverheadPartial{Fingerprint: h.fingerprint, Shard: h.shard, Lo: h.lo, Hi: h.hi, Total: h.total,
+		Cycles: vals, ElapsedMS: h.elapsedMS}
 }
 
-// runOverheadPartial also exposes the plan, for callers (GenerateSharded,
-// Session) that need a structurally complete stand-in result or the full
-// aggregation.
-func (r *Runner) runOverheadPartial(ctx context.Context, spec Spec) (*OverheadPartial, *overheadPlan, error) {
-	spec, err := spec.normalizedAs(SpecOverhead, "RunOverheadPartial")
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.validate(); err != nil {
-		return nil, nil, err
-	}
-	shard := r.Shard
-	if shard.IsZero() {
-		shard = ShardSpec{Index: 0, Count: 1}
-	}
-	r.applySpec(spec)
-	plan, err := planOverhead(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	lo, hi := shard.shardRange(len(plan.trials))
-	start := time.Now()
-	cycles, err := r.execOverheadTrials(ctx, plan, lo, hi)
-	if err != nil && !cancelled(ctx, err) {
-		return nil, nil, err
-	}
-	return &OverheadPartial{
-		Fingerprint: plan.fingerprint,
-		Shard:       shard,
-		Lo:          lo,
-		Hi:          lo + len(cycles),
-		Total:       len(plan.trials),
-		Cycles:      cycles,
-		ElapsedMS:   time.Since(start).Milliseconds(),
-	}, plan, err
-}
-
-// MergeOverhead reassembles a full OverheadResult from the partial
-// results of a sharded overhead run. The Spec must reproduce the plan
-// the shards were cut from; the plan fingerprint enforces this. Partials
-// may arrive in any order, but their ranges must tile [0, total) exactly
-// — duplicated and missing shards are rejected with the offending trial
-// range named. The merged result is byte-identical to an unsharded
-// RunOverhead of the same Spec. One ShardMerged event is emitted per
-// partial, in canonical range order.
-func (r *Runner) MergeOverhead(spec Spec, parts []*OverheadPartial) (*OverheadResult, error) {
-	spec, err := spec.normalizedAs(SpecOverhead, "MergeOverhead")
-	if err != nil {
-		return nil, err
-	}
-	plan, err := planOverhead(spec)
-	if err != nil {
-		return nil, err
-	}
-	spans := make([]planSpan, len(parts))
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("harness: MergeOverhead: nil partial result")
-		}
-		if err := p.check(); err != nil {
-			return nil, err
-		}
-		spans[i] = planSpan{shard: p.Shard, lo: p.Lo, hi: p.Hi, total: p.Total, fingerprint: p.Fingerprint}
-	}
-	order, err := tileSpans("MergeOverhead", plan.fingerprint, len(plan.trials), spans)
-	if err != nil {
-		return nil, err
-	}
-	cycles := make([]uint64, len(plan.trials))
-	for _, i := range order {
-		copy(cycles[parts[i].Lo:parts[i].Hi], parts[i].Cycles)
-		r.notify(ShardMerged{Shard: parts[i].Shard, Lo: parts[i].Lo, Hi: parts[i].Hi, Total: parts[i].Total,
-			Elapsed: time.Duration(parts[i].ElapsedMS) * time.Millisecond})
-	}
-	return aggregateOverhead(plan, cycles), nil
-}
+func (cycleWire) decode(r io.Reader) (*OverheadPartial, error) { return DecodeOverheadPartial(r) }

@@ -31,18 +31,11 @@ func runOverheadShards(t *testing.T, n int) []*OverheadPartial {
 	ws, vs := smallOverhead()
 	parts := make([]*OverheadPartial, n)
 	for i := 0; i < n; i++ {
-		r := NewRunner()
-		r.Parallel = 2
-		r.Shard = ShardSpec{Index: i, Count: n}
-		p, err := r.RunOverheadPartial(context.Background(), OverheadSpec(ws, vs))
+		payload, err := ShardPayload(context.Background(), OverheadSpec(ws, vs), ShardSpec{Index: i, Count: n}, Options{Parallel: 2})
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
 		}
-		var buf bytes.Buffer
-		if err := p.Encode(&buf); err != nil {
-			t.Fatalf("shard %d/%d: encode: %v", i, n, err)
-		}
-		rp, err := DecodeOverheadPartial(&buf)
+		rp, err := DecodeOverheadPartial(bytes.NewReader(payload))
 		if err != nil {
 			t.Fatalf("shard %d/%d: decode: %v", i, n, err)
 		}
@@ -69,7 +62,7 @@ func TestOverheadShardMergeByteIdentical(t *testing.T) {
 		orders := [][]*OverheadPartial{parts, reversedOv(parts), rotatedOv(parts, n/2)}
 		for oi, order := range orders {
 			mr := NewRunner()
-			merged, err := mr.MergeOverhead(OverheadSpec(ws, vs), order)
+			merged, err := mergeOverhead(mr, OverheadSpec(ws, vs), order)
 			if err != nil {
 				t.Fatalf("n=%d order=%d: %v", n, oi, err)
 			}
@@ -86,6 +79,13 @@ func TestOverheadShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
+// mergeOverhead merges decoded overhead partials through the single
+// merge path.
+func mergeOverhead(r *Runner, spec Spec, parts []*OverheadPartial) (*OverheadResult, error) {
+	res, err := mergeParts(r, spec, SpecOverhead, "Merge", parts)
+	return res.Overhead, err
+}
+
 func reversedOv(parts []*OverheadPartial) []*OverheadPartial {
 	out := make([]*OverheadPartial, len(parts))
 	for i, p := range parts {
@@ -100,27 +100,28 @@ func rotatedOv(parts []*OverheadPartial, by int) []*OverheadPartial {
 	return append(out, parts[:by]...)
 }
 
-// TestMergeOverheadRejects covers the validation MergeOverhead shares
-// with MergeCampaign: duplicated shards, gaps, foreign plans, nils.
+// TestMergeOverheadRejects covers the validation the overhead kind
+// shares with MergeCampaign: duplicated shards, gaps, foreign plans,
+// nils.
 func TestMergeOverheadRejects(t *testing.T) {
 	ws, vs := smallOverhead()
 	parts := runOverheadShards(t, 3)
 	r := NewRunner()
 	spec := OverheadSpec(ws, vs)
-	if _, err := r.MergeOverhead(spec, []*OverheadPartial{parts[0], parts[1], parts[1], parts[2]}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := mergeOverhead(r, spec, []*OverheadPartial{parts[0], parts[1], parts[1], parts[2]}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicated shard not rejected: %v", err)
 	}
-	if _, err := r.MergeOverhead(spec, []*OverheadPartial{parts[0], parts[2]}); err == nil || !strings.Contains(err.Error(), "missing trials") {
+	if _, err := mergeOverhead(r, spec, []*OverheadPartial{parts[0], parts[2]}); err == nil || !strings.Contains(err.Error(), "missing trials") {
 		t.Errorf("missing shard not rejected with a named range: %v", err)
 	}
-	if _, err := r.MergeOverhead(spec, nil); err == nil || !strings.Contains(err.Error(), "no partial results") {
+	if _, err := mergeOverhead(r, spec, nil); err == nil || !strings.Contains(err.Error(), "no partial results") {
 		t.Errorf("empty merge not rejected: %v", err)
 	}
-	if _, err := r.MergeOverhead(spec, []*OverheadPartial{parts[0], nil, parts[2]}); err == nil || !strings.Contains(err.Error(), "nil partial") {
+	if _, err := mergeOverhead(r, spec, []*OverheadPartial{parts[0], nil, parts[2]}); err == nil || !strings.Contains(err.Error(), "nil partial") {
 		t.Errorf("nil partial not rejected: %v", err)
 	}
 	// A different variant set is a different plan: refused by fingerprint.
-	if _, err := r.MergeOverhead(OverheadSpec(ws, vs[:2]), parts); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := mergeOverhead(r, OverheadSpec(ws, vs[:2]), parts); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("foreign-plan merge not rejected by fingerprint: %v", err)
 	}
 }
@@ -131,8 +132,8 @@ func TestRunOverheadRejectsShard(t *testing.T) {
 	ws, vs := smallOverhead()
 	r := NewRunner()
 	r.Shard = ShardSpec{Index: 1, Count: 2}
-	if _, err := r.RunOverhead(context.Background(), OverheadSpec(ws, vs)); err == nil || !strings.Contains(err.Error(), "RunOverheadPartial") {
-		t.Errorf("sharded RunOverhead: err = %v, want a pointer to RunOverheadPartial", err)
+	if _, err := r.RunOverhead(context.Background(), OverheadSpec(ws, vs)); err == nil || !strings.Contains(err.Error(), "Merge") {
+		t.Errorf("sharded RunOverhead: err = %v, want a pointer to sharded runs and Merge", err)
 	}
 }
 

@@ -44,12 +44,11 @@ type Options struct {
 	// golden caches stay warm across assignments.
 	Runner *Runner
 
-	// campaign/overhead interpose on experiment execution; they are how
-	// GenerateSharded and GenerateMerged reroute the campaigns inside a
-	// generator through partial runs and merges without the generator
-	// knowing.
-	campaignExec func(ctx context.Context, r *Runner, spec Spec) (*CampaignResult, error)
-	overheadExec func(ctx context.Context, r *Runner, spec Spec) (*OverheadResult, error)
+	// exec interposes on the execution of an experiment's campaign and
+	// overhead sub-plans; it is how GenerateSharded, GenerateMerged, and
+	// GenerateJournaled reroute them through partial runs, merges, and the
+	// journal without the generator knowing. nil runs each plan whole.
+	exec func(ctx context.Context, r *Runner, spec Spec) (Result, error)
 }
 
 func (o Options) runner() *Runner {
@@ -67,20 +66,25 @@ func (o Options) runner() *Runner {
 	return r
 }
 
+// run executes (or reroutes) one campaign or overhead sub-plan of an
+// experiment.
+func (o Options) run(ctx context.Context, r *Runner, spec Spec) (Result, error) {
+	if o.exec != nil {
+		return o.exec(ctx, r, spec)
+	}
+	return r.runWhole(ctx, spec, spec.Kind, "Generate")
+}
+
 // campaign runs (or reroutes) one campaign of an experiment.
 func (o Options) campaign(ctx context.Context, r *Runner, spec Spec) (*CampaignResult, error) {
-	if o.campaignExec != nil {
-		return o.campaignExec(ctx, r, spec)
-	}
-	return r.RunCampaign(ctx, spec)
+	res, err := o.run(ctx, r, spec)
+	return res.Campaign, err
 }
 
 // overhead runs (or reroutes) one overhead measurement of an experiment.
 func (o Options) overhead(ctx context.Context, r *Runner, spec Spec) (*OverheadResult, error) {
-	if o.overheadExec != nil {
-		return o.overheadExec(ctx, r, spec)
-	}
-	return r.RunOverhead(ctx, spec)
+	res, err := o.run(ctx, r, spec)
+	return res.Overhead, err
 }
 
 // campaignSpec derives the generator's campaign sub-Spec from the
@@ -455,28 +459,25 @@ func GenerateSharded(ctx context.Context, spec Spec, shard ShardSpec, out io.Wri
 		return err
 	}
 	ep := &ExperimentPartial{Exp: n.Exp, Shard: shard}
-	opts.campaignExec = func(ctx context.Context, r *Runner, spec Spec) (*CampaignResult, error) {
-		r.Shard = shard
-		p, plan, err := r.runCampaignPartial(ctx, spec)
+	opts.exec = func(ctx context.Context, r *Runner, spec Spec) (Result, error) {
+		st, err := r.plan(spec, "", "GenerateSharded")
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
-		ep.Campaigns = append(ep.Campaigns, p)
+		p, _, err := st.run(ctx, r, shard)
+		if err != nil {
+			return Result{}, err
+		}
+		switch p := p.(type) {
+		case *PartialResult:
+			ep.Campaigns = append(ep.Campaigns, p)
+		case *OverheadPartial:
+			ep.Overheads = append(ep.Overheads, p)
+		}
 		// Rendering goes to io.Discard; a structurally complete stand-in
 		// (all cells present, zero-valued) keeps the generator's render
 		// path happy without running the other shards' trials.
-		return aggregate(plan, make([]TrialOutcome, len(plan.trials))), nil
-	}
-	opts.overheadExec = func(ctx context.Context, r *Runner, spec Spec) (*OverheadResult, error) {
-		r.Shard = shard
-		p, plan, err := r.runOverheadPartial(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		ep.Overheads = append(ep.Overheads, p)
-		// Same stand-in trick: zero cycles render as 0/NaN ratios into
-		// io.Discard without running the other shards' measurements.
-		return aggregateOverhead(plan, make([]uint64, len(plan.trials))), nil
+		return st.snapshot(), nil
 	}
 	if err := Generate(ctx, n, io.Discard, opts); err != nil {
 		return err
@@ -524,27 +525,13 @@ func GenerateMerged(ctx context.Context, spec Spec, out io.Writer, partials []io
 	spec.Exp = id
 	nCampaigns, nOverheads := len(eps[0].Campaigns), len(eps[0].Overheads)
 	ci, oi := 0, 0
-	opts.campaignExec = func(_ context.Context, r *Runner, spec Spec) (*CampaignResult, error) {
-		if ci >= nCampaigns {
-			return nil, fmt.Errorf("harness: experiment %s runs more than the %d campaigns the partials hold", id, nCampaigns)
-		}
-		parts := make([]*PartialResult, len(eps))
-		for j, ep := range eps {
-			parts[j] = ep.Campaigns[ci]
+	opts.exec = func(_ context.Context, r *Runner, spec Spec) (Result, error) {
+		if spec.Kind == SpecOverhead {
+			oi++
+			return mergeNth(r, spec, eps, oi-1, func(ep *ExperimentPartial) []*OverheadPartial { return ep.Overheads })
 		}
 		ci++
-		return r.MergeCampaign(spec, parts)
-	}
-	opts.overheadExec = func(_ context.Context, r *Runner, spec Spec) (*OverheadResult, error) {
-		if oi >= nOverheads {
-			return nil, fmt.Errorf("harness: experiment %s runs more than the %d overhead measurements the partials hold", id, nOverheads)
-		}
-		parts := make([]*OverheadPartial, len(eps))
-		for j, ep := range eps {
-			parts[j] = ep.Overheads[oi]
-		}
-		oi++
-		return r.MergeOverhead(spec, parts)
+		return mergeNth(r, spec, eps, ci-1, func(ep *ExperimentPartial) []*PartialResult { return ep.Campaigns })
 	}
 	if err := Generate(ctx, spec, out, opts); err != nil {
 		return err
@@ -556,6 +543,19 @@ func GenerateMerged(ctx context.Context, spec Spec, out io.Writer, partials []io
 		return fmt.Errorf("harness: partials hold %d overhead measurements but experiment %s ran only %d", nOverheads, id, oi)
 	}
 	return nil
+}
+
+// mergeNth merges the i-th sub-plan of one kind (of picks the kind's
+// list) across every shard's experiment partial.
+func mergeNth[P wirePart](r *Runner, spec Spec, eps []*ExperimentPartial, i int, of func(*ExperimentPartial) []P) (Result, error) {
+	if n := len(of(eps[0])); i >= n {
+		return Result{}, fmt.Errorf("harness: experiment %s runs more than the %d %s plans the partials hold", eps[0].Exp, n, spec.Kind)
+	}
+	parts := make([]P, len(eps))
+	for j, ep := range eps {
+		parts[j] = of(ep)[i]
+	}
+	return mergeParts(r, spec, spec.Kind, "GenerateMerged", parts)
 }
 
 // GenerateAll regenerates every experiment in order, using spec (whose

@@ -1,23 +1,24 @@
 package harness
 
-// Resumable, adaptively sized campaign execution over a crash-safe
-// journal (internal/journal). The flow: ResumeCampaign diffs the
+// Resumable, adaptively sized execution over a crash-safe journal
+// (internal/journal), for every single-plan kind. The flow: Runner.Resume
+// (plan.go) diffs the
 // canonical plan against the journal's replayed records by plan
-// fingerprint and computes the uncovered gaps; CampaignResume.Spans cuts
+// fingerprint and computes the uncovered gaps; Resume.Spans cuts
 // those gaps into explicit trial spans whose sizes follow the observed
 // per-trial cost in the journal (slow regions get smaller spans, so a
 // straggling span loses less work to the next interruption) — and the
 // cut is a pure function of (journal bytes, Spec), so a resumed plan is
-// reproducible; the journaled drivers then execute the spans, appending
-// each completed partial to the journal before moving on, and finish
-// with the ordinary fingerprint-validated exact-tiling merge, which is
-// what guarantees a resumed campaign's report is byte-identical to an
-// uninterrupted run and that no trial is ever dropped or double-counted.
+// reproducible; the journaled driver (RunJournaled) then executes the
+// spans, appending each completed partial to the journal before moving
+// on, and finishes with the ordinary fingerprint-validated exact-tiling
+// merge, which is what guarantees a resumed report is byte-identical to
+// an uninterrupted run and that no trial is ever dropped or
+// double-counted. This file holds the span cutter and the experiment
+// layer over it.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -41,104 +42,14 @@ var (
 // identical whether the resumed run executes with 1 or 8 workers.
 const DefaultResumeSpans = 8
 
-// CampaignResume is the diff of a campaign plan against a journal
-// replay: which trial ranges are already covered (Parts) and which still
-// need to run (Gaps).
-type CampaignResume struct {
-	spec  Spec
-	plan  *campaignPlan
-	cplan *concurrentPlan // set instead of plan by ResumeConcurrent
-	// PlanFP is the canonical plan's fingerprint — the key shard records
-	// are journaled under.
-	PlanFP string
-	// Total is the plan's trial count.
-	Total int
-	// Parts holds the journal's replayed partial results, validated and
-	// in ascending range order.
-	Parts []*PartialResult
-	// Gaps are the uncovered trial ranges, as explicit span ShardSpecs in
-	// ascending order. Empty means the journal already covers the plan.
-	Gaps []ShardSpec
-}
-
-// Done reports how many trials the journal already covers.
-func (c *CampaignResume) Done() int {
-	done := 0
-	for _, p := range c.Parts {
-		done += p.Hi - p.Lo
-	}
-	return done
-}
-
-// ResumeCampaign recomputes the campaign Spec's canonical plan and diffs
-// it against the journal replay: records journaled under this plan's
-// fingerprint are decoded and re-validated (payload shape, fingerprint,
-// and the record's range against the payload's — a mismatch means the
-// journal was tampered with past its checksums and is refused as
-// corrupt); everything the records do not cover becomes a gap. rp may be
-// nil (a fresh journal): every trial is then a gap.
-func (r *Runner) ResumeCampaign(spec Spec, rp *journal.Replay) (*CampaignResume, error) {
-	spec, err := spec.normalizedAs(SpecCampaign, "ResumeCampaign")
-	if err != nil {
-		return nil, err
-	}
-	if err := failpt.Err(siteResume); err != nil {
-		return nil, err
-	}
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	r.applySpec(spec)
-	plan, err := r.planCampaign(spec)
-	if err != nil {
-		return nil, err
-	}
-	c := &CampaignResume{spec: spec, plan: plan, PlanFP: plan.fingerprint, Total: len(plan.trials)}
-	if rp != nil {
-		for _, rec := range rp.Plan(plan.fingerprint) {
-			p, err := decodeJournaledPartial(rec, plan.fingerprint, len(plan.trials))
-			if err != nil {
-				return nil, err
-			}
-			c.Parts = append(c.Parts, p)
-		}
-	}
-	c.Gaps, err = rangeGaps(c.Parts, len(plan.trials))
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// decodeJournaledPartial decodes one journal record's payload as a
-// campaign partial and cross-checks it against the record envelope and
-// the plan. The journal's checksum already proved the payload is the
-// bytes that were appended; these checks prove those bytes mean what the
-// envelope says, so nothing merges on the strength of metadata alone.
-func decodeJournaledPartial(rec journal.Record, planFP string, total int) (*PartialResult, error) {
-	p, err := DecodePartial(bytes.NewReader(rec.Payload))
-	if err != nil {
-		return nil, fmt.Errorf("%w: journaled payload for trials [%d, %d): %v", journal.ErrCorrupt, rec.Lo, rec.Hi, err)
-	}
-	if p.Fingerprint != planFP {
-		return nil, fmt.Errorf("%w: journaled payload for trials [%d, %d) was cut from plan %.12s, record claims %.12s",
-			journal.ErrCorrupt, rec.Lo, rec.Hi, p.Fingerprint, planFP)
-	}
-	if p.Lo != rec.Lo || p.Hi != rec.Hi || p.Total != rec.Total || p.Total != total {
-		return nil, fmt.Errorf("%w: journaled payload covers [%d, %d) of %d, record claims [%d, %d) of %d",
-			journal.ErrCorrupt, p.Lo, p.Hi, p.Total, rec.Lo, rec.Hi, rec.Total)
-	}
-	return p, nil
-}
-
 // rangeGaps returns the sub-ranges of [0, total) that the parts (already
 // in ascending order, non-overlapping — the journal enforces both) do
 // not cover, as explicit spans.
-func rangeGaps[P interface{ span() (lo, hi int) }](parts []P, total int) ([]ShardSpec, error) {
+func rangeGaps(parts []partHead, total int) ([]ShardSpec, error) {
 	var gaps []ShardSpec
 	next := 0
 	for _, p := range parts {
-		lo, hi := p.span()
+		lo, hi := p.lo, p.hi
 		if lo < next {
 			return nil, fmt.Errorf("%w: journaled ranges overlap at trial %d", journal.ErrCorrupt, lo)
 		}
@@ -151,32 +62,6 @@ func rangeGaps[P interface{ span() (lo, hi int) }](parts []P, total int) ([]Shar
 		gaps = append(gaps, SpanShard(next, total))
 	}
 	return gaps, nil
-}
-
-func (p *PartialResult) span() (int, int)   { return p.Lo, p.Hi }
-func (p *OverheadPartial) span() (int, int) { return p.Lo, p.Hi }
-
-// Spans cuts the resume's gaps into at most n explicit spans (at least
-// one per gap), sized adaptively from the journal's observed per-trial
-// cost: a trial in a region the journal measured as slow gets a smaller
-// span, so interruptions near stragglers waste less completed work and
-// the coordinator's lease scheduler sees evener span durations. The cut
-// is deterministic — a pure function of the replayed records and the
-// Spec — which is what makes a resumed plan reproducible: re-planning
-// the same journal yields byte-identical spans at any worker count.
-func (c *CampaignResume) Spans(n int) []ShardSpec {
-	return adaptiveSpans(n, c.Gaps, observedRates(partSpans(c.Parts), c.Total))
-}
-
-// Snapshot aggregates the given parts over zero-valued stand-ins for
-// the uncovered trials — a structurally complete CampaignResult, the
-// data a progressive report renders mid-campaign.
-func (c *CampaignResume) Snapshot(parts []*PartialResult) *CampaignResult {
-	outcomes := make([]TrialOutcome, c.Total)
-	for _, p := range parts {
-		copy(outcomes[p.Lo:p.Hi], p.Outcomes)
-	}
-	return aggregate(c.plan, outcomes)
 }
 
 // OpenJournal resolves the CLIs' -journal/-resume flag pair against the
@@ -206,50 +91,25 @@ func OpenJournal(dir string, resume bool, spec Spec) (*journal.Journal, *journal
 	return j, nil, err
 }
 
-// AppendCampaignPayload journals one serialized campaign partial — the
-// record the coordinator's OnResult hook writes for each first-completed
-// shard. The payload's own fingerprint and range become the record
-// envelope, so the journal's overlap guard sees the true trial span.
-func AppendCampaignPayload(j *journal.Journal, payload []byte) (*PartialResult, error) {
-	p, err := DecodePartial(bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	return p, j.Append(journal.Record{
-		PlanFP: p.Fingerprint, Lo: p.Lo, Hi: p.Hi, Total: p.Total,
-		ElapsedMS: p.ElapsedMS, Payload: payload,
-	})
-}
-
-// costedSpan is one covered range with its observed per-trial cost.
-type costedSpan struct {
-	lo, hi int
-	rate   float64 // ms per trial; 0 = unknown
-}
-
-func partSpans(parts []*PartialResult) []costedSpan {
-	spans := make([]costedSpan, len(parts))
-	for i, p := range parts {
-		spans[i] = costedSpan{lo: p.Lo, hi: p.Hi}
-		if p.ElapsedMS > 0 && p.Hi > p.Lo {
-			spans[i].rate = float64(p.ElapsedMS) / float64(p.Hi-p.Lo)
-		}
-	}
-	return spans
-}
-
-// observedRates builds the per-trial cost model over the whole plan:
-// covered trials take their recording shard's mean rate; uncovered
-// trials interpolate the nearest covered neighbors (mean of both sides,
-// one side at the edges), falling back to the global mean, and to a
-// uniform 1.0 when the journal holds no timing at all (a fresh journal:
-// the adaptive cut then degrades to the uniform cut).
-func observedRates(covered []costedSpan, total int) []float64 {
+// observedRates builds the per-trial cost model (ms per trial) over the
+// whole plan from the covered spans (in range order): covered trials
+// take their recording shard's mean rate; uncovered trials interpolate
+// the nearest covered neighbors (mean of both sides, one side at the
+// edges), falling back to the global mean, and to a uniform 1.0 when the
+// journal holds no timing at all (a fresh journal: the adaptive cut then
+// degrades to the uniform cut).
+func observedRates(covered []partHead, total int) []float64 {
 	rates := make([]float64, total)
 	sum, nRated := 0.0, 0
+	observed := func(s partHead) float64 { // 0 = unknown
+		if s.elapsedMS > 0 && s.hi > s.lo {
+			return float64(s.elapsedMS) / float64(s.hi-s.lo)
+		}
+		return 0
+	}
 	for _, s := range covered {
-		if s.rate > 0 {
-			sum += s.rate * float64(s.hi-s.lo)
+		if r := observed(s); r > 0 {
+			sum += r * float64(s.hi-s.lo)
 			nRated += s.hi - s.lo
 		}
 	}
@@ -257,9 +117,9 @@ func observedRates(covered []costedSpan, total int) []float64 {
 	if nRated > 0 {
 		mean = sum / float64(nRated)
 	}
-	rate := func(s costedSpan) float64 {
-		if s.rate > 0 {
-			return s.rate
+	rate := func(s partHead) float64 {
+		if r := observed(s); r > 0 {
+			return r
 		}
 		return mean
 	}
@@ -275,7 +135,7 @@ func observedRates(covered []costedSpan, total int) []float64 {
 	next := 0
 	for si := 0; si <= len(covered); si++ {
 		gapLo, gapHi := next, total
-		var left, right *costedSpan
+		var left, right *partHead
 		if si > 0 {
 			left = &covered[si-1]
 		}
@@ -408,272 +268,46 @@ func cutByCost(g ShardSpec, ng int, rates []float64) []ShardSpec {
 	return spans
 }
 
-// runCampaignJournaled executes a campaign against a journal: replayed
-// coverage is kept, the remaining gaps are cut adaptively into spans,
-// each span's completed partial is appended (durably) to the journal
-// before the next span starts, and the full set merges into the final
-// result. onSpan, when non-nil, fires with the accumulated parts — once
-// after replay and once per completed span — which is what progressive
-// reporting hangs off. The returned int counts trials actually executed
-// here (not replayed); on cancellation the completed prefix of the
-// in-flight span is journaled before the context error returns.
-func (r *Runner) runCampaignJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior *journal.Replay, spans int,
-	onSpan func(plan *campaignPlan, parts []*PartialResult)) (*CampaignResult, int, error) {
-	c, err := r.ResumeCampaign(spec, prior)
-	if err != nil {
-		return nil, 0, err
-	}
-	parts := c.Parts
-	if onSpan != nil {
-		onSpan(c.plan, parts)
-	}
-	executed := 0
-	for _, span := range c.Spans(spans) {
-		p, err := r.runSpan(ctx, c.spec, span)
-		if err != nil && (p == nil || !cancelled(ctx, err)) {
-			return nil, executed, err
-		}
-		if p.Hi > p.Lo {
-			if aerr := appendCampaignPartial(j, p); aerr != nil {
-				return nil, executed, aerr
-			}
-			executed += p.Hi - p.Lo
-			parts = append(parts, p)
-			if onSpan != nil {
-				onSpan(c.plan, parts)
-			}
-		}
-		if err != nil {
-			return nil, executed, err
-		}
-	}
-	merged, err := r.MergeCampaign(c.spec, parts)
-	if err != nil {
-		return nil, executed, err
-	}
-	return merged, executed, nil
-}
-
-// runSpan executes one explicit span on the Runner, preserving its
-// configured Shard around the call.
-func (r *Runner) runSpan(ctx context.Context, spec Spec, span ShardSpec) (*PartialResult, error) {
-	if err := failpt.Err(siteSpan); err != nil {
-		return nil, err
-	}
-	saved := r.Shard
-	r.Shard = span
-	p, _, err := r.runCampaignPartial(ctx, spec)
-	r.Shard = saved
-	return p, err
-}
-
-// appendCampaignPartial journals one completed campaign partial.
-func appendCampaignPartial(j *journal.Journal, p *PartialResult) error {
-	payload, err := json.Marshal(p)
-	if err != nil {
-		return fmt.Errorf("harness: encoding journaled partial: %w", err)
-	}
-	return j.Append(journal.Record{
-		PlanFP: p.Fingerprint, Lo: p.Lo, Hi: p.Hi, Total: p.Total,
-		ElapsedMS: p.ElapsedMS, Payload: payload,
-	})
-}
-
-// RunCampaignJournaled is the exported journaled campaign driver. snap,
-// when non-nil, receives a progressive snapshot after replay and after
-// every completed span: a structurally complete CampaignResult whose
-// uncovered trials are zero-valued stand-ins, plus the covered/total
-// trial counts — the data a progressive report renders. The final
-// result is byte-identical to an uninterrupted RunCampaign; the int
-// counts trials executed by this call (excluding replayed coverage).
-func (r *Runner) RunCampaignJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior *journal.Replay, spans int,
-	snap func(cr *CampaignResult, done, total int)) (*CampaignResult, int, error) {
-	var onSpan func(plan *campaignPlan, parts []*PartialResult)
-	if snap != nil {
-		onSpan = func(plan *campaignPlan, parts []*PartialResult) {
-			outcomes := make([]TrialOutcome, len(plan.trials))
-			done := 0
-			for _, p := range parts {
-				copy(outcomes[p.Lo:p.Hi], p.Outcomes)
-				done += p.Hi - p.Lo
-			}
-			snap(aggregate(plan, outcomes), done, len(plan.trials))
-		}
-	}
-	return r.runCampaignJournaled(ctx, spec, j, prior, spans, onSpan)
-}
-
-// --------------------------------------------------------------------------
-// Overhead analogues: experiments journal their overhead measurement
-// plans through the same machinery.
-
-// resumeOverhead diffs an overhead plan against the journal replay.
-func (r *Runner) resumeOverhead(spec Spec, rp *journal.Replay) (Spec, *overheadPlan, []*OverheadPartial, []ShardSpec, error) {
-	spec, err := spec.normalizedAs(SpecOverhead, "ResumeOverhead")
-	if err != nil {
-		return spec, nil, nil, nil, err
-	}
-	if err := r.validate(); err != nil {
-		return spec, nil, nil, nil, err
-	}
-	r.applySpec(spec)
-	plan, err := planOverhead(spec)
-	if err != nil {
-		return spec, nil, nil, nil, err
-	}
-	var parts []*OverheadPartial
-	if rp != nil {
-		for _, rec := range rp.Plan(plan.fingerprint) {
-			p, err := decodeJournaledOverhead(rec, plan.fingerprint, len(plan.trials))
-			if err != nil {
-				return spec, nil, nil, nil, err
-			}
-			parts = append(parts, p)
-		}
-	}
-	gaps, err := rangeGaps(parts, len(plan.trials))
-	if err != nil {
-		return spec, nil, nil, nil, err
-	}
-	return spec, plan, parts, gaps, nil
-}
-
-func decodeJournaledOverhead(rec journal.Record, planFP string, total int) (*OverheadPartial, error) {
-	p, err := DecodeOverheadPartial(bytes.NewReader(rec.Payload))
-	if err != nil {
-		return nil, fmt.Errorf("%w: journaled overhead payload for trials [%d, %d): %v", journal.ErrCorrupt, rec.Lo, rec.Hi, err)
-	}
-	if p.Fingerprint != planFP {
-		return nil, fmt.Errorf("%w: journaled overhead payload for trials [%d, %d) was cut from plan %.12s, record claims %.12s",
-			journal.ErrCorrupt, rec.Lo, rec.Hi, p.Fingerprint, planFP)
-	}
-	if p.Lo != rec.Lo || p.Hi != rec.Hi || p.Total != rec.Total || p.Total != total {
-		return nil, fmt.Errorf("%w: journaled overhead payload covers [%d, %d) of %d, record claims [%d, %d) of %d",
-			journal.ErrCorrupt, p.Lo, p.Hi, p.Total, rec.Lo, rec.Hi, rec.Total)
-	}
-	return p, nil
-}
-
-// runOverheadJournaled is the overhead analogue of runCampaignJournaled.
-func (r *Runner) runOverheadJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior *journal.Replay, spans int,
-	onSpan func(plan *overheadPlan, parts []*OverheadPartial)) (*OverheadResult, int, error) {
-	spec, plan, parts, gaps, err := r.resumeOverhead(spec, prior)
-	if err != nil {
-		return nil, 0, err
-	}
-	if onSpan != nil {
-		onSpan(plan, parts)
-	}
-	costs := make([]costedSpan, len(parts))
-	for i, p := range parts {
-		costs[i] = costedSpan{lo: p.Lo, hi: p.Hi}
-		if p.ElapsedMS > 0 && p.Hi > p.Lo {
-			costs[i].rate = float64(p.ElapsedMS) / float64(p.Hi-p.Lo)
-		}
-	}
-	executed := 0
-	for _, span := range adaptiveSpans(spans, gaps, observedRates(costs, len(plan.trials))) {
-		saved := r.Shard
-		r.Shard = span
-		p, _, err := r.runOverheadPartial(ctx, spec)
-		r.Shard = saved
-		if err != nil && (p == nil || !cancelled(ctx, err)) {
-			return nil, executed, err
-		}
-		if p.Hi > p.Lo {
-			payload, merr := json.Marshal(p)
-			if merr != nil {
-				return nil, executed, fmt.Errorf("harness: encoding journaled overhead partial: %w", merr)
-			}
-			if aerr := j.Append(journal.Record{
-				PlanFP: p.Fingerprint, Lo: p.Lo, Hi: p.Hi, Total: p.Total,
-				ElapsedMS: p.ElapsedMS, Payload: payload,
-			}); aerr != nil {
-				return nil, executed, aerr
-			}
-			executed += p.Hi - p.Lo
-			parts = append(parts, p)
-			if onSpan != nil {
-				onSpan(plan, parts)
-			}
-		}
-		if err != nil {
-			return nil, executed, err
-		}
-	}
-	merged, err := r.MergeOverhead(spec, parts)
-	if err != nil {
-		return nil, executed, err
-	}
-	return merged, executed, nil
-}
-
 // --------------------------------------------------------------------------
 // Journaled experiment generation with progressive reports.
 
-// journalState accumulates the parts every journaled sub-plan of an
-// experiment has so far, keyed by plan fingerprint — the state a
+// journalState holds the resume state of every journaled sub-plan of an
+// experiment seen so far, keyed by plan fingerprint — the state a
 // progressive snapshot renders from. The dedicated snapshot Runner keeps
 // snapshot rendering from disturbing the live Runner's configuration
 // (Options.runner installs event sinks and policy on whichever Runner it
 // is given).
 type journalState struct {
-	campaigns map[string][]*PartialResult
-	overheads map[string][]*OverheadPartial
-	executed  int
-	sr        *Runner
+	plans    map[string]*Resume
+	executed int
+	sr       *Runner
 }
 
-// snapshotOptions builds the interposers that render a progressive
+// snapshotOptions builds the interposer that renders a progressive
 // report from the accumulated state without executing a single trial:
 // each sub-plan aggregates whatever parts the state holds over
 // zero-valued stand-ins for the rest, exactly the GenerateSharded trick.
 func (st *journalState) snapshotOptions() Options {
 	return Options{
 		Runner: st.sr,
-		campaignExec: func(_ context.Context, r *Runner, spec Spec) (*CampaignResult, error) {
-			r.applySpec(spec)
-			plan, err := r.planCampaign(spec)
+		exec: func(_ context.Context, r *Runner, spec Spec) (Result, error) {
+			ps, err := r.plan(spec, "", "GenerateJournaled")
 			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
-			outcomes := make([]TrialOutcome, len(plan.trials))
-			for _, p := range st.campaigns[plan.fingerprint] {
-				copy(outcomes[p.Lo:p.Hi], p.Outcomes)
+			if c, ok := st.plans[ps.fp()]; ok {
+				return c.Snapshot(), nil
 			}
-			return aggregate(plan, outcomes), nil
-		},
-		overheadExec: func(_ context.Context, r *Runner, spec Spec) (*OverheadResult, error) {
-			plan, err := planOverhead(spec)
-			if err != nil {
-				return nil, err
-			}
-			cycles := make([]uint64, len(plan.trials))
-			for _, p := range st.overheads[plan.fingerprint] {
-				copy(cycles[p.Lo:p.Hi], p.Cycles)
-			}
-			return aggregateOverhead(plan, cycles), nil
+			return ps.snapshot(), nil
 		},
 	}
 }
 
 // done reports covered/total trials across every sub-plan seen so far.
 func (st *journalState) done() (done, total int) {
-	for _, parts := range st.campaigns {
-		for _, p := range parts {
-			done += p.Hi - p.Lo
-		}
-		if len(parts) > 0 {
-			total += parts[0].Total
-		}
-	}
-	for _, parts := range st.overheads {
-		for _, p := range parts {
-			done += p.Hi - p.Lo
-		}
-		if len(parts) > 0 {
-			total += parts[0].Total
-		}
+	for _, c := range st.plans {
+		done += c.Done()
+		total += c.Total
 	}
 	return done, total
 }
@@ -694,33 +328,17 @@ func GenerateJournaled(ctx context.Context, spec Spec, j *journal.Journal, prior
 	if err != nil {
 		return 0, err
 	}
-	st := &journalState{
-		campaigns: make(map[string][]*PartialResult),
-		overheads: make(map[string][]*OverheadPartial),
-		sr:        NewRunner(),
-	}
-	emit := func() {
-		if snap == nil {
-			return
-		}
-		done, total := st.done()
-		snap(func(w io.Writer) error { return Generate(ctx, n, w, st.snapshotOptions()) }, done, total)
-	}
-	opts.campaignExec = func(ctx context.Context, r *Runner, sub Spec) (*CampaignResult, error) {
-		merged, executed, err := r.runCampaignJournaled(ctx, sub, j, prior, spans, func(plan *campaignPlan, parts []*PartialResult) {
-			st.campaigns[plan.fingerprint] = parts
-			emit()
+	st := &journalState{plans: make(map[string]*Resume), sr: NewRunner()}
+	opts.exec = func(ctx context.Context, r *Runner, sub Spec) (Result, error) {
+		res, executed, err := r.runJournaled(ctx, sub, j, prior, spans, func(c *Resume) {
+			st.plans[c.PlanFP] = c
+			if snap != nil {
+				done, total := st.done()
+				snap(func(w io.Writer) error { return Generate(ctx, n, w, st.snapshotOptions()) }, done, total)
+			}
 		})
 		st.executed += executed
-		return merged, err
-	}
-	opts.overheadExec = func(ctx context.Context, r *Runner, sub Spec) (*OverheadResult, error) {
-		merged, executed, err := r.runOverheadJournaled(ctx, sub, j, prior, spans, func(plan *overheadPlan, parts []*OverheadPartial) {
-			st.overheads[plan.fingerprint] = parts
-			emit()
-		})
-		st.executed += executed
-		return merged, err
+		return res, err
 	}
 	if err := Generate(ctx, n, out, opts); err != nil {
 		return st.executed, err

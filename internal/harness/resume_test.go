@@ -51,6 +51,13 @@ func reopenJournal(t *testing.T, dir, fp string) (*journal.Journal, *journal.Rep
 	return j, rp
 }
 
+// journaledCampaign runs a campaign Spec through the journaled driver and
+// returns its CampaignResult.
+func journaledCampaign(ctx context.Context, r *Runner, spec Spec, j *journal.Journal, rp *journal.Replay, spans int) (*CampaignResult, int, error) {
+	res, executed, err := r.RunJournaled(ctx, spec, j, rp, spans, nil)
+	return res.Campaign, executed, err
+}
+
 // TestJournaledCampaignMatchesDirect: a fresh journaled run produces the
 // identical CampaignResult as a direct RunCampaign, executes exactly the
 // plan's trial count, and a second pass over the now-complete journal
@@ -61,7 +68,7 @@ func TestJournaledCampaignMatchesDirect(t *testing.T) {
 
 	j, dir, fp := newTestJournal(t, spec)
 	r := NewRunner()
-	got, executed, err := r.RunCampaignJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil)
+	got, executed, err := journaledCampaign(context.Background(), r, spec, j, nil, DefaultResumeSpans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +79,7 @@ func TestJournaledCampaignMatchesDirect(t *testing.T) {
 		t.Error("journaled campaign result differs from direct RunCampaign")
 	}
 
-	c, err := NewRunner().ResumeCampaign(spec, nil)
+	c, err := NewRunner().Resume(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +90,7 @@ func TestJournaledCampaignMatchesDirect(t *testing.T) {
 	// Resume of a complete journal: full replay, nothing executed.
 	j2, rp := reopenJournal(t, dir, fp)
 	defer j2.Close()
-	again, executed2, err := NewRunner().RunCampaignJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
+	again, executed2, err := journaledCampaign(context.Background(), NewRunner(), spec, j2, rp, DefaultResumeSpans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +112,7 @@ func TestJournaledCampaignResumeAfterCancel(t *testing.T) {
 	spec := smallCampaign()
 	direct, _ := campaignAt(t, 1)
 	total := func() int {
-		c, err := NewRunner().ResumeCampaign(spec, nil)
+		c, err := NewRunner().Resume(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +134,7 @@ func TestJournaledCampaignResumeAfterCancel(t *testing.T) {
 					}
 				}
 			}
-			_, executed1, err := r.RunCampaignJournaled(ctx, spec, j, nil, DefaultResumeSpans, nil)
+			_, executed1, err := journaledCampaign(ctx, r, spec, j, nil, DefaultResumeSpans)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled journaled run err = %v, want context.Canceled", err)
 			}
@@ -140,14 +147,14 @@ func TestJournaledCampaignResumeAfterCancel(t *testing.T) {
 
 			j2, rp := reopenJournal(t, dir, fp)
 			defer j2.Close()
-			c, err := NewRunner().ResumeCampaign(spec, rp)
+			c, err := NewRunner().Resume(spec, rp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if c.Done() != executed1 {
 				t.Errorf("journal covers %d trials, cancelled run reported %d executed", c.Done(), executed1)
 			}
-			got, executed2, err := NewRunner().RunCampaignJournaled(context.Background(), spec, j2, rp, DefaultResumeSpans, nil)
+			got, executed2, err := journaledCampaign(context.Background(), NewRunner(), spec, j2, rp, DefaultResumeSpans)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +180,7 @@ func TestResumeCorruptionMatrix(t *testing.T) {
 	direct, _ := campaignAt(t, 1)
 
 	j, dir, fp := newTestJournal(t, spec)
-	if _, _, err := NewRunner().RunCampaignJournaled(context.Background(), spec, j, nil, DefaultResumeSpans, nil); err != nil {
+	if _, _, err := journaledCampaign(context.Background(), NewRunner(), spec, j, nil, DefaultResumeSpans); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -211,7 +218,7 @@ func TestResumeCorruptionMatrix(t *testing.T) {
 			return
 		}
 		defer j.Close()
-		got, _, err := NewRunner().RunCampaignJournaled(context.Background(), spec, j, rp, DefaultResumeSpans, nil)
+		got, _, err := journaledCampaign(context.Background(), NewRunner(), spec, j, rp, DefaultResumeSpans)
 		if err != nil {
 			if !errors.Is(err, journal.ErrCorrupt) {
 				t.Fatalf("resume from damaged journal failed with unnamed error: %v", err)
@@ -245,7 +252,7 @@ func TestResumeCorruptionMatrix(t *testing.T) {
 func TestResumeRejectsForgedEnvelope(t *testing.T) {
 	spec := smallCampaign()
 	j, dir, fp := newTestJournal(t, spec)
-	if _, _, err := NewRunner().RunCampaignJournaled(context.Background(), spec, j, nil, 4, nil); err != nil {
+	if _, _, err := journaledCampaign(context.Background(), NewRunner(), spec, j, nil, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -284,7 +291,7 @@ func TestResumeRejectsForgedEnvelope(t *testing.T) {
 		t.Fatalf("forged envelope must pass the journal layer, got %v", err)
 	}
 	defer j2.Close()
-	_, _, err = NewRunner().RunCampaignJournaled(context.Background(), spec, j2, rp, 4, nil)
+	_, _, err = journaledCampaign(context.Background(), NewRunner(), spec, j2, rp, 4)
 	if !errors.Is(err, journal.ErrCorrupt) {
 		t.Fatalf("resume over forged envelope err = %v, want ErrCorrupt", err)
 	}
@@ -312,7 +319,7 @@ func TestAdaptiveResumeDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := r.RunCampaignJournaled(ctx, spec, j, nil, DefaultResumeSpans, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := journaledCampaign(ctx, r, spec, j, nil, DefaultResumeSpans); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupting run: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -333,12 +340,12 @@ func TestAdaptiveResumeDeterministicAcrossWorkers(t *testing.T) {
 		j, rp := reopenJournal(t, dir, fp)
 		r := NewRunner()
 		r.Parallel = workers
-		c, err := r.ResumeCampaign(spec, rp)
+		c, err := r.Resume(spec, rp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spans = append(spans, c.Spans(DefaultResumeSpans))
-		got, _, err := r.RunCampaignJournaled(context.Background(), spec, j, rp, DefaultResumeSpans, nil)
+		got, _, err := journaledCampaign(context.Background(), r, spec, j, rp, DefaultResumeSpans)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,6 +373,10 @@ func TestAdaptiveResumeDeterministicAcrossWorkers(t *testing.T) {
 // journal measured as slow more (hence smaller) spans than an equally
 // sized cheap region.
 func TestSpansAdaptiveSizing(t *testing.T) {
+	// cut is Resume.Spans over the given covered spans and gaps.
+	cut := func(n, total int, gaps []ShardSpec, covered ...partHead) []ShardSpec {
+		return adaptiveSpans(n, gaps, observedRates(covered, total))
+	}
 	tile := func(t *testing.T, spans, gaps []ShardSpec) {
 		t.Helper()
 		gi, next := 0, -1
@@ -391,9 +402,9 @@ func TestSpansAdaptiveSizing(t *testing.T) {
 	}
 
 	t.Run("uniform-when-untimed", func(t *testing.T) {
-		c := &CampaignResume{Total: 40, Gaps: []ShardSpec{SpanShard(0, 40)}}
-		spans := c.Spans(4)
-		tile(t, spans, c.Gaps)
+		gaps := []ShardSpec{SpanShard(0, 40)}
+		spans := cut(4, 40, gaps)
+		tile(t, spans, gaps)
 		want := []ShardSpec{SpanShard(0, 10), SpanShard(10, 20), SpanShard(20, 30), SpanShard(30, 40)}
 		if !reflect.DeepEqual(spans, want) {
 			t.Errorf("untimed cut = %v, want uniform %v", spans, want)
@@ -403,14 +414,13 @@ func TestSpansAdaptiveSizing(t *testing.T) {
 	t.Run("skewed-cost", func(t *testing.T) {
 		// Two equal-size gaps; the journal measured the region adjoining
 		// the second gap as 10x slower, so it must receive more spans.
-		parts := []*PartialResult{
-			{Lo: 20, Hi: 30, ElapsedMS: 10},  // 1 ms/trial next to gap [0,20)
-			{Lo: 50, Hi: 60, ElapsedMS: 100}, // 10 ms/trial next to gap [30,50)
+		covered := []partHead{
+			{lo: 20, hi: 30, elapsedMS: 10},  // 1 ms/trial next to gap [0,20)
+			{lo: 50, hi: 60, elapsedMS: 100}, // 10 ms/trial next to gap [30,50)
 		}
-		c := &CampaignResume{Total: 60, Parts: parts,
-			Gaps: []ShardSpec{SpanShard(0, 20), SpanShard(30, 50)}}
-		spans := c.Spans(8)
-		tile(t, spans, c.Gaps)
+		gaps := []ShardSpec{SpanShard(0, 20), SpanShard(30, 50)}
+		spans := cut(8, 60, gaps, covered...)
+		tile(t, spans, gaps)
 		if len(spans) != 8 {
 			t.Fatalf("cut %d spans, want 8", len(spans))
 		}
@@ -428,16 +438,15 @@ func TestSpansAdaptiveSizing(t *testing.T) {
 	})
 
 	t.Run("at-least-one-span-per-gap", func(t *testing.T) {
-		c := &CampaignResume{Total: 10,
-			Gaps: []ShardSpec{SpanShard(0, 1), SpanShard(3, 4), SpanShard(6, 10)}}
-		spans := c.Spans(2) // fewer than gaps: every gap still covered
-		tile(t, spans, c.Gaps)
+		gaps := []ShardSpec{SpanShard(0, 1), SpanShard(3, 4), SpanShard(6, 10)}
+		spans := cut(2, 10, gaps) // fewer than gaps: every gap still covered
+		tile(t, spans, gaps)
 	})
 
 	t.Run("spans-capped-by-trials", func(t *testing.T) {
-		c := &CampaignResume{Total: 3, Gaps: []ShardSpec{SpanShard(0, 3)}}
-		spans := c.Spans(8)
-		tile(t, spans, c.Gaps)
+		gaps := []ShardSpec{SpanShard(0, 3)}
+		spans := cut(8, 3, gaps)
+		tile(t, spans, gaps)
 		if len(spans) > 3 {
 			t.Errorf("cut %d spans from 3 trials", len(spans))
 		}

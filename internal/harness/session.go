@@ -283,30 +283,7 @@ func (s *Session) pump(ch chan Event) {
 
 // run executes the experiment and resolves the session.
 func (s *Session) run(ctx context.Context, r *Runner, cfg sessionConfig) {
-	s.result.Spec = s.spec
-	switch s.spec.Kind {
-	case SpecCampaign:
-		p, plan, err := r.runCampaignPartial(ctx, s.spec)
-		s.result.CampaignPartial = p
-		s.err = err
-		if err == nil && p.Lo == 0 && p.Hi == p.Total {
-			s.result.Campaign = aggregate(plan, p.Outcomes)
-		}
-	case SpecOverhead:
-		p, plan, err := r.runOverheadPartial(ctx, s.spec)
-		s.result.OverheadPartial = p
-		s.err = err
-		if err == nil && p.Lo == 0 && p.Hi == p.Total {
-			s.result.Overhead = aggregateOverhead(plan, p.Cycles)
-		}
-	case SpecConcurrent:
-		p, plan, err := r.runConcurrentPartial(ctx, s.spec)
-		s.result.ConcurrentPartial = p
-		s.err = err
-		if err == nil && p.Lo == 0 && p.Hi == p.Total {
-			s.result.Concurrent = aggregateConcurrent(plan, p.Outcomes)
-		}
-	case SpecExperiment:
+	if s.spec.Kind == SpecExperiment {
 		o := Options{Evict: cfg.evict, Reference: cfg.reference, Events: s.emit, Runner: r}
 		if cfg.parallel != 0 {
 			o.Parallel = cfg.parallel
@@ -317,7 +294,12 @@ func (s *Session) run(ctx context.Context, r *Runner, cfg sessionConfig) {
 			r.Shard = ShardSpec{} // GenerateSharded re-shards per sub-plan
 			s.err = GenerateSharded(ctx, s.spec, cfg.shard, cfg.report, o)
 		}
+	} else if st, err := r.plan(s.spec, "", "Start"); err != nil {
+		s.err = err
+	} else {
+		_, s.result, s.err = st.run(ctx, r, r.Shard)
 	}
+	s.result.Spec = s.spec
 	s.result.Stats = r.CacheStats()
 	s.emit(s.result.Stats)
 	s.finish()

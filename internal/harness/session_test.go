@@ -257,8 +257,12 @@ func TestOverheadCancelReturnsPrefix(t *testing.T) {
 	spec := OverheadSpec(ws, vs)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewRunner()
-	p, err := r.RunOverheadPartial(ctx, spec)
+	s, err := Start(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Wait()
+	p := res.OverheadPartial
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -11,15 +11,12 @@ package harness
 // report rendered from it) is byte-identical to an unsharded run.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // ShardSpec names one shard of a campaign, in one of two forms. The
@@ -27,7 +24,7 @@ import (
 // N covers trials [i·T/N, (i+1)·T/N). The explicit form — Lo/Hi set,
 // Index and Count zero — covers exactly the trial range [Lo, Hi); it is
 // how adaptively cut resume plans name their uneven spans (see
-// CampaignResume.Spans). The zero value means "the whole plan".
+// Resume.Spans). The zero value means "the whole plan".
 type ShardSpec struct {
 	Index int `json:"index"`
 	Count int `json:"count"`
@@ -136,21 +133,16 @@ type PartialResult struct {
 	ElapsedMS int64 `json:"elapsedMS,omitempty"`
 }
 
+func (p *PartialResult) head() partHead {
+	return partHead{fingerprint: p.Fingerprint, shard: p.Shard, lo: p.Lo, hi: p.Hi, total: p.Total, elapsedMS: p.ElapsedMS}
+}
+
+func (p *PartialResult) values() []TrialOutcome { return p.Outcomes }
+
 // check validates the partial's internal shape (independent of any
 // plan). Decoded partials are checked before use so malformed input
 // surfaces as an error, never a panic.
-func (p *PartialResult) check() error {
-	if p.Lo < 0 || p.Hi < p.Lo || p.Total < p.Hi {
-		return fmt.Errorf("harness: partial result: invalid trial range [%d, %d) of %d", p.Lo, p.Hi, p.Total)
-	}
-	if len(p.Outcomes) != p.Hi-p.Lo {
-		return fmt.Errorf("harness: partial result: %d outcomes for trial range [%d, %d)", len(p.Outcomes), p.Lo, p.Hi)
-	}
-	if p.Fingerprint == "" {
-		return fmt.Errorf("harness: partial result: missing plan fingerprint")
-	}
-	return nil
-}
+func (p *PartialResult) check() error { return p.head().check("partial result", len(p.Outcomes)) }
 
 // Encode writes the partial result as JSON.
 func (p *PartialResult) Encode(w io.Writer) error {
@@ -190,206 +182,46 @@ func (s ShardSpec) shardRange(total int) (lo, hi int) {
 	return s.Index * total / s.Count, (s.Index + 1) * total / s.Count
 }
 
+// outcomeWire is the wire codec of TrialOutcome spans — PartialResult —
+// embedded by the campaign and concurrent plans.
+type outcomeWire struct{}
+
+func (outcomeWire) wrap(h partHead, vals []TrialOutcome) *PartialResult {
+	return &PartialResult{Fingerprint: h.fingerprint, Shard: h.shard, Lo: h.lo, Hi: h.hi, Total: h.total,
+		Outcomes: vals, ElapsedMS: h.elapsedMS}
+}
+
+func (outcomeWire) decode(r io.Reader) (*PartialResult, error) { return DecodePartial(r) }
+
 // RunCampaignPartial executes only the Runner's shard of the campaign
 // Spec's canonical trial plan and returns the indexed partial result. A
 // zero Shard runs the whole plan as shard 0/1. Combine the shards with
-// MergeCampaign.
+// MergeCampaign (or Merge, from their serialized form).
 //
 // Cancelling ctx stops dispatch, drains in-flight trials, and returns
 // the completed-prefix partial (Hi trimmed to the last finished trial)
 // together with ctx's error — both non-nil — so a cancelled run's
 // finished work is never discarded.
 func (r *Runner) RunCampaignPartial(ctx context.Context, spec Spec) (*PartialResult, error) {
-	p, _, err := r.runCampaignPartial(ctx, spec)
-	return p, err
-}
-
-// runCampaignPartial also exposes the plan, for callers (GenerateSharded,
-// Session) that need a structurally complete stand-in result or the full
-// aggregation.
-func (r *Runner) runCampaignPartial(ctx context.Context, spec Spec) (*PartialResult, *campaignPlan, error) {
-	spec, err := spec.normalizedAs(SpecCampaign, "RunCampaignPartial")
+	st, err := r.plan(spec, SpecCampaign, "RunCampaignPartial")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := r.validate(); err != nil {
-		return nil, nil, err
-	}
-	shard := r.Shard
-	if shard.IsZero() {
-		shard = ShardSpec{Index: 0, Count: 1}
-	}
-	r.applySpec(spec)
-	plan, err := r.planCampaign(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	lo, hi := shard.shardRange(len(plan.trials))
-	start := time.Now()
-	outcomes, err := r.execTrials(ctx, plan, lo, hi)
-	if err != nil && !cancelled(ctx, err) {
-		return nil, nil, err
-	}
-	return &PartialResult{
-		Fingerprint: plan.fingerprint,
-		Shard:       shard,
-		Lo:          lo,
-		Hi:          lo + len(outcomes),
-		Total:       len(plan.trials),
-		Outcomes:    outcomes,
-		ElapsedMS:   time.Since(start).Milliseconds(),
-	}, plan, err
-}
-
-// planSpan is the plan-identity and range header shared by every partial
-// kind (campaign PartialResult, OverheadPartial): which plan the shard
-// was cut from and which contiguous trial range it covers.
-type planSpan struct {
-	shard       ShardSpec
-	lo, hi      int
-	total       int
-	fingerprint string
-}
-
-// tileSpans validates a set of shard spans against a plan identity
-// (fingerprint + trial count) and returns the span indices ordered so
-// their ranges tile [0, total) exactly. Mismatched fingerprints,
-// overlapping ranges (a duplicated shard), and gaps (a missing shard)
-// are rejected with the offending shard or trial range named; what names
-// the calling merge in errors.
-func tileSpans(what, fingerprint string, total int, spans []planSpan) ([]int, error) {
-	if len(spans) == 0 {
-		return nil, fmt.Errorf("harness: %s: no partial results", what)
-	}
-	for _, s := range spans {
-		if s.fingerprint != fingerprint {
-			return nil, fmt.Errorf("harness: %s: shard %s was cut from a different plan (fingerprint %.12s, want %.12s): spec, runs, or site enumeration differ",
-				what, s.shard, s.fingerprint, fingerprint)
-		}
-		if s.total != total {
-			return nil, fmt.Errorf("harness: %s: shard %s covers a %d-trial plan, this plan has %d trials", what, s.shard, s.total, total)
-		}
-	}
-	order := make([]int, len(spans))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if spans[order[a]].lo != spans[order[b]].lo {
-			return spans[order[a]].lo < spans[order[b]].lo
-		}
-		return spans[order[a]].hi < spans[order[b]].hi
-	})
-	next := 0
-	for _, i := range order {
-		s := spans[i]
-		if s.lo < next {
-			return nil, fmt.Errorf("harness: %s: shard %s overlaps already-merged trials [%d, %d): duplicate shard?", what, s.shard, s.lo, min(s.hi, next))
-		}
-		if s.lo > next {
-			return nil, fmt.Errorf("harness: %s: missing trials [%d, %d): no shard covers them", what, next, s.lo)
-		}
-		next = s.hi
-	}
-	if next != total {
-		return nil, fmt.Errorf("harness: %s: missing trials [%d, %d): no shard covers them", what, next, total)
-	}
-	return order, nil
+	_, res, err := st.run(ctx, r, r.Shard)
+	return res.CampaignPartial, err
 }
 
 // MergeCampaign reassembles a full CampaignResult from the partial
-// results of a sharded run. The Spec must reproduce the plan the shards
-// were cut from (same workloads, variants, injection kind, runs, site
-// enumeration); the plan fingerprint enforces this. Partials may arrive
-// in any order, but their ranges must tile [0, total) exactly:
-// overlapping ranges (e.g. a duplicated shard) and gaps (a missing
-// shard) are rejected with the offending trial range named. The merged
-// result is byte-identical to an unsharded run of the same Spec. One
-// ShardMerged event is emitted per partial, in canonical range order.
+// results of a sharded run — Merge for partials already decoded. The
+// Spec must reproduce the plan the shards were cut from (same workloads,
+// variants, injection kind, runs, site enumeration); the plan
+// fingerprint enforces this. Partials may arrive in any order, but their
+// ranges must tile [0, total) exactly: overlapping ranges (e.g. a
+// duplicated shard) and gaps (a missing shard) are rejected with the
+// offending trial range named. The merged result is byte-identical to an
+// unsharded run of the same Spec. One ShardMerged event is emitted per
+// partial, in canonical range order.
 func (r *Runner) MergeCampaign(spec Spec, parts []*PartialResult) (*CampaignResult, error) {
-	spec, err := spec.normalizedAs(SpecCampaign, "MergeCampaign")
-	if err != nil {
-		return nil, err
-	}
-	r.applySpec(spec)
-	plan, err := r.planCampaign(spec)
-	if err != nil {
-		return nil, err
-	}
-	total := len(plan.trials)
-	spans := make([]planSpan, len(parts))
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("harness: MergeCampaign: nil partial result")
-		}
-		if err := p.check(); err != nil {
-			return nil, err
-		}
-		spans[i] = planSpan{shard: p.Shard, lo: p.Lo, hi: p.Hi, total: p.Total, fingerprint: p.Fingerprint}
-	}
-	order, err := tileSpans("MergeCampaign", plan.fingerprint, total, spans)
-	if err != nil {
-		return nil, err
-	}
-	outcomes := make([]TrialOutcome, total)
-	for _, i := range order {
-		copy(outcomes[parts[i].Lo:parts[i].Hi], parts[i].Outcomes)
-		r.notify(ShardMerged{Shard: parts[i].Shard, Lo: parts[i].Lo, Hi: parts[i].Hi, Total: parts[i].Total,
-			Elapsed: time.Duration(parts[i].ElapsedMS) * time.Millisecond})
-	}
-	return aggregate(plan, outcomes), nil
-}
-
-// ShardPayload executes one shard of any Spec kind and returns its
-// serialized partial result — the JSON document the coordinator's
-// streaming protocol carries: a PartialResult for campaign and
-// concurrent Specs, an OverheadPartial for overhead Specs, an
-// ExperimentPartial for experiment Specs. It is the one worker-side entry point behind
-// `dpmr-exp -worker` and `dpmr-run -worker`, which is why a worker
-// process serves whatever Spec its Assignment carries instead of
-// re-deriving an experiment from argv. A cancelled ctx fails the shard:
-// the coordinator must retry it, not merge a prefix as if it covered
-// the range.
-func ShardPayload(ctx context.Context, spec Spec, shard ShardSpec, opts Options) ([]byte, error) {
-	n, err := spec.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	switch n.Kind {
-	case SpecCampaign, SpecOverhead, SpecConcurrent:
-		r := opts.runner()
-		r.Shard = shard
-		switch n.Kind {
-		case SpecCampaign:
-			p, err := r.RunCampaignPartial(ctx, n)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.Encode(&buf); err != nil {
-				return nil, err
-			}
-		case SpecConcurrent:
-			p, err := r.RunConcurrentPartial(ctx, n)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.Encode(&buf); err != nil {
-				return nil, err
-			}
-		default:
-			p, err := r.RunOverheadPartial(ctx, n)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.Encode(&buf); err != nil {
-				return nil, err
-			}
-		}
-	case SpecExperiment:
-		if err := GenerateSharded(ctx, n, shard, &buf, opts); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
+	res, err := mergeParts(r, spec, SpecCampaign, "MergeCampaign", parts)
+	return res.Campaign, err
 }
