@@ -225,14 +225,7 @@ func (p *OverheadPartial) Encode(w io.Writer) error {
 // DecodeOverheadPartial reads a JSON overhead partial and validates its
 // shape. It never panics on malformed input.
 func DecodeOverheadPartial(r io.Reader) (*OverheadPartial, error) {
-	var p OverheadPartial
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("harness: decoding overhead partial: %w", err)
-	}
-	if err := p.check(); err != nil {
-		return nil, err
-	}
-	return &p, nil
+	return decodeChecked[OverheadPartial](r, "overhead partial")
 }
 
 // cycleWire is the wire codec of cycle-count spans — OverheadPartial —

@@ -13,6 +13,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -78,6 +79,23 @@ func (h partHead) check(what string, n int) error {
 	return nil
 }
 
+// decodeChecked reads one JSON document into a new T and validates its
+// shape — the decoder behind every partial type. It never panics on
+// malformed input.
+func decodeChecked[T any, PT interface {
+	*T
+	check() error
+}](r io.Reader, what string) (PT, error) {
+	p := PT(new(T))
+	if err := json.NewDecoder(r).Decode(p); err != nil {
+		return nil, fmt.Errorf("harness: decoding %s: %w", what, err)
+	}
+	if err := p.check(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // merged is the ShardMerged event announcing this span.
 func (h partHead) merged() ShardMerged {
 	return ShardMerged{Shard: h.shard, Lo: h.lo, Hi: h.hi, Total: h.total,
@@ -109,7 +127,8 @@ type planState interface {
 	// snapshot aggregates the collected partials over zero-valued
 	// stand-ins for the trials they do not cover.
 	snapshot() Result
-	encodeAll() ([][]byte, error)
+	// payloads serializes the collected partials in range order.
+	payloads() ([][]byte, error)
 }
 
 // kindState implements planState for one kind.
@@ -196,12 +215,18 @@ func (s *kindState[V, R, P]) replay(rp *journal.Replay) error {
 	return nil
 }
 
+// sorted returns the collected partials in range order.
+func (s *kindState[V, R, P]) sorted() []P {
+	parts := append([]P(nil), s.parts...)
+	sort.SliceStable(parts, func(a, b int) bool { return parts[a].head().lo < parts[b].head().lo })
+	return parts
+}
+
 func (s *kindState[V, R, P]) covered() []partHead {
 	heads := make([]partHead, len(s.parts))
-	for i, p := range s.parts {
+	for i, p := range s.sorted() {
 		heads[i] = p.head()
 	}
-	sort.SliceStable(heads, func(a, b int) bool { return heads[a].lo < heads[b].lo })
 	return heads
 }
 
@@ -243,11 +268,9 @@ func (s *kindState[V, R, P]) snapshot() Result {
 	return res
 }
 
-func (s *kindState[V, R, P]) encodeAll() ([][]byte, error) {
-	parts := append([]P(nil), s.parts...)
-	sort.SliceStable(parts, func(a, b int) bool { return parts[a].head().lo < parts[b].head().lo })
-	out := make([][]byte, len(parts))
-	for i, p := range parts {
+func (s *kindState[V, R, P]) payloads() ([][]byte, error) {
+	out := make([][]byte, len(s.parts))
+	for i, p := range s.sorted() {
 		var buf bytes.Buffer
 		if err := p.Encode(&buf); err != nil {
 			return nil, err
@@ -269,9 +292,12 @@ func (r *Runner) plan(spec Spec, kind SpecKind, what string) (planState, error) 
 	if kind != "" && n.Kind != kind {
 		return nil, fmt.Errorf("harness: %s needs a %s spec, got kind %q", what, kind, n.Kind)
 	}
+	if n.Kind == SpecExperiment {
+		return nil, fmt.Errorf("harness: %s: %s specs run several plans; plan their campaigns/measurements individually", what, n.Kind)
+	}
+	r.applySpec(n)
 	switch n.Kind {
 	case SpecCampaign:
-		r.applySpec(n)
 		p, err := r.planCampaign(n)
 		if err != nil {
 			return nil, err
@@ -280,7 +306,6 @@ func (r *Runner) plan(spec Spec, kind SpecKind, what string) (planState, error) 
 			res.CampaignPartial, res.Campaign = p, agg
 		}), nil
 	case SpecOverhead:
-		r.applySpec(n)
 		p, err := planOverhead(n)
 		if err != nil {
 			return nil, err
@@ -288,8 +313,7 @@ func (r *Runner) plan(spec Spec, kind SpecKind, what string) (planState, error) 
 		return newState(p, func(res *Result, p *OverheadPartial, agg *OverheadResult) {
 			res.OverheadPartial, res.Overhead = p, agg
 		}), nil
-	case SpecConcurrent:
-		r.applySpec(n)
+	default: // SpecConcurrent
 		p, err := planConcurrent(n)
 		if err != nil {
 			return nil, err
@@ -298,7 +322,6 @@ func (r *Runner) plan(spec Spec, kind SpecKind, what string) (planState, error) 
 			res.ConcurrentPartial, res.Concurrent = p, agg
 		}), nil
 	}
-	return nil, fmt.Errorf("harness: %s: %s specs run several plans; plan their campaigns/measurements individually", what, n.Kind)
 }
 
 // runWhole executes the entire plan of a kind-checked Spec and returns
@@ -579,7 +602,7 @@ func (c *Resume) Merge() (Result, error) { return c.st.merge(c.r, "Merge") }
 
 // Payloads serializes every collected partial in range order — the
 // payload set a service returns for a client-side merge.
-func (c *Resume) Payloads() ([][]byte, error) { return c.st.encodeAll() }
+func (c *Resume) Payloads() ([][]byte, error) { return c.st.payloads() }
 
 // RunJournaled executes a campaign, overhead, or concurrent Spec against
 // a journal: replayed coverage is kept, the remaining gaps are cut

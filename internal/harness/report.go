@@ -412,33 +412,33 @@ type ExperimentPartial struct {
 // DecodeExperimentPartial reads a JSON experiment partial and validates
 // its shape. It never panics on malformed input.
 func DecodeExperimentPartial(r io.Reader) (*ExperimentPartial, error) {
-	var ep ExperimentPartial
-	if err := json.NewDecoder(r).Decode(&ep); err != nil {
-		return nil, fmt.Errorf("harness: decoding experiment partial: %w", err)
-	}
+	return decodeChecked[ExperimentPartial](r, "experiment partial")
+}
+
+func (ep *ExperimentPartial) check() error {
 	if ep.Exp == "" {
-		return nil, fmt.Errorf("harness: experiment partial: missing experiment id")
+		return fmt.Errorf("harness: experiment partial: missing experiment id")
 	}
 	if len(ep.Campaigns) == 0 && len(ep.Overheads) == 0 {
-		return nil, fmt.Errorf("harness: experiment partial %s: no campaigns or overhead measurements", ep.Exp)
+		return fmt.Errorf("harness: experiment partial %s: no campaigns or overhead measurements", ep.Exp)
 	}
 	for _, p := range ep.Campaigns {
 		if p == nil {
-			return nil, fmt.Errorf("harness: experiment partial %s: nil campaign", ep.Exp)
+			return fmt.Errorf("harness: experiment partial %s: nil campaign", ep.Exp)
 		}
 		if err := p.check(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, p := range ep.Overheads {
 		if p == nil {
-			return nil, fmt.Errorf("harness: experiment partial %s: nil overhead measurement", ep.Exp)
+			return fmt.Errorf("harness: experiment partial %s: nil overhead measurement", ep.Exp)
 		}
 		if err := p.check(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return &ep, nil
+	return nil
 }
 
 // GenerateSharded runs shard `shard` of the Spec-named experiment's

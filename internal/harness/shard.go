@@ -155,14 +155,7 @@ func (p *PartialResult) Encode(w io.Writer) error {
 // DecodePartial reads a JSON partial result and validates its shape. It
 // never panics on malformed input.
 func DecodePartial(r io.Reader) (*PartialResult, error) {
-	var p PartialResult
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("harness: decoding partial result: %w", err)
-	}
-	if err := p.check(); err != nil {
-		return nil, err
-	}
-	return &p, nil
+	return decodeChecked[PartialResult](r, "partial result")
 }
 
 // shardRange slices [0, total) into the spec's contiguous range.
