@@ -1,10 +1,10 @@
 package harness
 
 // Pinned golden reports: one coverage figure, one overhead figure, one
-// latency table and two concurrent reports, checked byte for byte
-// against testdata/golden under every execution cut — whole, sharded
-// 0/3..2/3 and merged, and journaled with a mid-run cancel followed by a
-// resume. The goldens pin the system against its own history instead
+// latency table and one concurrent report per concurrent workload,
+// checked byte for byte against testdata/golden under every execution
+// cut — whole, sharded 0/3..2/3 and merged, and journaled with a mid-run
+// cancel followed by a resume. The goldens pin the system against its own history instead
 // of against itself: a classification or aggregation change that every
 // cut shares still fails here.
 //
@@ -41,6 +41,7 @@ func goldenSpecs() map[string]Spec {
 		"fig3.16": quickExp("fig3.16"),
 		"tab3.3":  quickExp("tab3.3"),
 		"chash":   goldenConcurrent("chash"),
+		"cpipe":   goldenConcurrent("cpipe"),
 		"csteal":  goldenConcurrent("csteal"),
 	}
 }

@@ -146,9 +146,9 @@ func TestDPMRTransformedConcurrent(t *testing.T) {
 	}
 }
 
-// TestAbortOnThreadFailure: a worker trap aborts the whole group and
-// classifies the combined result.
-func TestAbortOnThreadFailure(t *testing.T) {
+// crashWorkerModule builds a group whose worker traps at once while main
+// spins on a shared flag that is never set.
+func crashWorkerModule() *ir.Module {
 	m := ir.NewModule("crashworker")
 	b := ir.NewBuilder(m)
 	m.AddGlobal("sink", ir.I64)
@@ -166,8 +166,13 @@ func TestAbortOnThreadFailure(t *testing.T) {
 	}, func() {})
 	b.Ret(b.I64(0))
 	m.Freeze()
+	return m
+}
 
-	res := Run(m, Config{Threads: 2, Seed: 9, VM: interp.Config{StepLimit: testStepLimit}})
+// TestAbortOnThreadFailure: a worker trap aborts the whole group and
+// classifies the combined result.
+func TestAbortOnThreadFailure(t *testing.T) {
+	res := Run(crashWorkerModule(), Config{Threads: 2, Seed: 9, VM: interp.Config{StepLimit: testStepLimit}})
 	if res.Combined.Kind != interp.ExitTrap {
 		t.Fatalf("want trap, got %v (%s)", res.Combined.Kind, res.Combined.Reason)
 	}
