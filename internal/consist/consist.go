@@ -30,7 +30,7 @@ package consist
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"dpmr/internal/mem"
 )
@@ -85,12 +85,6 @@ func Check(t *mem.TraceRec) *Report {
 	return r
 }
 
-// taggedEvent carries an event's thread through the total-order merge.
-type taggedEvent struct {
-	mem.TraceEvent
-	thread int
-}
-
 // locKey identifies one checked location. Widths are part of the key:
 // the workloads' shared cells are accessed at one fixed width each, and
 // folding mixed-width aliasing into byte-granular tracking would buy
@@ -101,62 +95,101 @@ type locKey struct {
 	width uint8
 }
 
-// locState is a location's traced write history.
+// locState is a location's most recent traced write. A location is in
+// the checker's map only once it has been written.
 type locState struct {
-	cur     uint64 // most recent write's value
-	curSeq  uint64
-	written bool
-	older   map[uint64]struct{} // values of superseded writes
+	cur    uint64 // the write's value
+	curSeq uint64 // the write's sequence number
 }
 
 // CheckEvents verifies hand-assembled per-thread traces (the test
-// surface; Check wraps it for recorder output). Events are merged into
-// the global total order by sequence number; within-thread order must
-// already be program order.
+// surface; Check wraps it for recorder output). Each thread's events
+// must be in increasing sequence order, as the recorder emits them; the
+// threads are merged into the global total order by their heads, so a
+// check costs one pass over the events. Sequence numbers are unique
+// across threads in recorder output; ties go to the lower thread.
 func CheckEvents(threads [][]mem.TraceEvent) *Report {
 	r := &Report{}
-	var all []taggedEvent
-	for tid, evs := range threads {
-		for _, e := range evs {
-			all = append(all, taggedEvent{TraceEvent: e, thread: tid})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	locs := make(map[locKey]*locState)
-	for _, e := range all {
-		r.Events++
-		k := locKey{addr: e.Addr, width: e.Width}
-		st := locs[k]
-		switch e.Op {
-		case mem.TraceStore:
-			if st == nil {
-				st = &locState{}
-				locs[k] = st
-			}
-			if st.written && st.cur != e.Val {
-				if st.older == nil {
-					st.older = make(map[uint64]struct{})
-				}
-				st.older[st.cur] = struct{}{}
-			}
-			st.cur, st.curSeq, st.written = e.Val, e.Seq, true
-		case mem.TraceLoad:
-			if st == nil || !st.written {
-				continue // unconstrained before the first traced write
-			}
-			if e.Val == st.cur {
+	locs := make(map[locKey]locState)
+	heads := make([]int, len(threads))
+	var stores map[storeKey]uint64 // built on the first violation
+	for {
+		// Pick the thread with the lowest head; it runs until its next
+		// event passes the lowest head of the others.
+		tid, bound := -1, uint64(math.MaxUint64)
+		for i, evs := range threads {
+			if heads[i] == len(evs) {
 				continue
 			}
+			s := evs[heads[i]].Seq
+			switch {
+			case tid < 0:
+				tid = i
+			case s < threads[tid][heads[tid]].Seq:
+				bound, tid = threads[tid][heads[tid]].Seq, i
+			case s < bound:
+				bound = s
+			}
+		}
+		if tid < 0 {
+			return r
+		}
+		evs, h := threads[tid], heads[tid]
+		for ; h < len(evs) && (h == heads[tid] || evs[h].Seq < bound); h++ {
+			e := &evs[h]
+			r.Events++
+			k := locKey{addr: e.Addr, width: e.Width}
+			if e.Op == mem.TraceStore {
+				locs[k] = locState{cur: e.Val, curSeq: e.Seq}
+				continue
+			}
+			if e.Op != mem.TraceLoad {
+				continue
+			}
+			st, written := locs[k]
+			if !written || e.Val == st.cur {
+				continue // unconstrained before the first traced write, or current
+			}
+			if stores == nil {
+				stores = firstStores(threads)
+			}
+			// A value that is not current was superseded iff some earlier
+			// write stored it.
 			class := ClassThinAir
-			if _, ok := st.older[e.Val]; ok {
+			if seq, ok := stores[storeKey{k, e.Val}]; ok && seq < e.Seq {
 				class = ClassStaleRead
 			}
 			r.Violations = append(r.Violations, Violation{
-				Class: class, Thread: e.thread, Seq: e.Seq,
+				Class: class, Thread: tid, Seq: e.Seq,
 				Addr: e.Addr, Width: e.Width,
 				Got: e.Val, Want: st.cur, WriteSeq: st.curSeq,
 			})
 		}
+		heads[tid] = h
 	}
-	return r
+}
+
+// storeKey is one value written to one location.
+type storeKey struct {
+	loc locKey
+	val uint64
+}
+
+// firstStores maps every value written to every location to the lowest
+// sequence number that wrote it: the look-back a violation needs to tell
+// a stale read from a thin-air one. Clean traces never build it.
+func firstStores(threads [][]mem.TraceEvent) map[storeKey]uint64 {
+	first := make(map[storeKey]uint64)
+	for _, evs := range threads {
+		for _, e := range evs {
+			if e.Op != mem.TraceStore {
+				continue
+			}
+			k := storeKey{locKey{e.Addr, e.Width}, e.Val}
+			if seq, ok := first[k]; !ok || e.Seq < seq {
+				first[k] = e.Seq
+			}
+		}
+	}
+	return first
 }

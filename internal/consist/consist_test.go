@@ -1,6 +1,9 @@
 package consist
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"dpmr/internal/mem"
@@ -125,5 +128,132 @@ func TestTwoValued(t *testing.T) {
 func TestNilRecorderClean(t *testing.T) {
 	if r := Check(nil); !r.Clean() || r.Events != 0 {
 		t.Fatalf("nil recorder must verify clean, got %+v", r)
+	}
+}
+
+// referenceCheck is the checker CheckEvents replaced, kept as the
+// differential oracle: it sorts every event into the total order and
+// keeps, per location, the set of every superseded value.
+func referenceCheck(threads [][]mem.TraceEvent) *Report {
+	type taggedEvent struct {
+		mem.TraceEvent
+		thread int
+	}
+	type locState struct {
+		cur     uint64 // most recent write's value
+		curSeq  uint64
+		written bool
+		older   map[uint64]struct{} // values of superseded writes
+	}
+	r := &Report{}
+	var all []taggedEvent
+	for tid, evs := range threads {
+		for _, e := range evs {
+			all = append(all, taggedEvent{TraceEvent: e, thread: tid})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
+	locs := make(map[locKey]*locState)
+	for _, e := range all {
+		r.Events++
+		k := locKey{addr: e.Addr, width: e.Width}
+		st := locs[k]
+		switch e.Op {
+		case mem.TraceStore:
+			if st == nil {
+				st = &locState{}
+				locs[k] = st
+			}
+			if st.written && st.cur != e.Val {
+				if st.older == nil {
+					st.older = make(map[uint64]struct{})
+				}
+				st.older[st.cur] = struct{}{}
+			}
+			st.cur, st.curSeq, st.written = e.Val, e.Seq, true
+		case mem.TraceLoad:
+			if st == nil || !st.written {
+				continue // unconstrained before the first traced write
+			}
+			if e.Val == st.cur {
+				continue
+			}
+			class := ClassThinAir
+			if _, ok := st.older[e.Val]; ok {
+				class = ClassStaleRead
+			}
+			r.Violations = append(r.Violations, Violation{
+				Class: class, Thread: e.thread, Seq: e.Seq,
+				Addr: e.Addr, Width: e.Width,
+				Got: e.Val, Want: st.cur, WriteSeq: st.curSeq,
+			})
+		}
+	}
+	return r
+}
+
+// tracesFrom decodes fuzz bytes into per-thread traces over a small
+// world — four addresses, widths 4 and 8 at each, eight values — so
+// stale reads, thin-air reads, rewrites of the current value, mixed
+// widths and loads before the first write all occur often. Each byte
+// pair is one event; sequence numbers are unique and rise in every
+// thread, with occasional gaps, as a recorder with dropped events
+// leaves them.
+func tracesFrom(nthreads uint8, ops []byte) [][]mem.TraceEvent {
+	threads := make([][]mem.TraceEvent, 1+int(nthreads)%4)
+	seq := uint64(0)
+	for i := 0; i+1 < len(ops); i += 2 {
+		a, b := ops[i], ops[i+1]
+		tid := int(a) % len(threads)
+		op := mem.TraceLoad
+		if a&0x04 != 0 {
+			op = mem.TraceStore
+		}
+		width := uint8(8)
+		if b&0x04 != 0 {
+			width = 4
+		}
+		threads[tid] = append(threads[tid], mem.TraceEvent{
+			Seq: seq, Op: op, Addr: 0x1000 + 8*uint64(b&0x03), Width: width, Val: uint64(b >> 5),
+		})
+		seq += 1 + uint64(a>>7)
+	}
+	return threads
+}
+
+func FuzzCheckEvents(f *testing.F) {
+	f.Add(uint8(1), []byte{0x04, 0x20, 0x04, 0x40, 0x01, 0x20})             // stale read
+	f.Add(uint8(0), []byte{0x04, 0x20, 0x00, 0xe0})                         // thin-air read
+	f.Add(uint8(0), []byte{0x00, 0x60, 0x04, 0x20, 0x04, 0x20, 0x00, 0x20}) // early load, rewrite
+	f.Add(uint8(2), []byte{0x04, 0x20, 0x01, 0x24, 0x86, 0x24, 0x02, 0x20}) // mixed widths, seq gap
+	f.Fuzz(func(t *testing.T, nthreads uint8, ops []byte) {
+		threads := tracesFrom(nthreads, ops)
+		got, want := CheckEvents(threads), referenceCheck(threads)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("CheckEvents and the reference disagree on %v:\n got %+v\nwant %+v", threads, got, want)
+		}
+	})
+}
+
+// TestCheckEventsMatchesReference runs the differential check over a
+// fixed batch of pseudo-random traces, so the plain test run covers more
+// than the fuzz seed corpus.
+func TestCheckEventsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	violations := map[string]int{}
+	for i := 0; i < 2000; i++ {
+		ops := make([]byte, 2*rng.Intn(64))
+		rng.Read(ops)
+		threads := tracesFrom(uint8(rng.Intn(4)), ops)
+		got, want := CheckEvents(threads), referenceCheck(threads)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trace %d: CheckEvents and the reference disagree on %v:\n got %+v\nwant %+v", i, threads, got, want)
+		}
+		for _, v := range got.Violations {
+			violations[v.Class]++
+		}
+	}
+	if violations[ClassStaleRead] == 0 || violations[ClassThinAir] == 0 {
+		t.Fatalf("random traces never exercised both classes: %v", violations)
 	}
 }
