@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"dpmr/internal/consist"
 	"dpmr/internal/coord"
 	coordnet "dpmr/internal/coord/net"
 	"dpmr/internal/dpmr"
@@ -875,17 +876,20 @@ func BenchmarkAblationOptimizerPipeline(b *testing.B) {
 // the degenerate single-VM group (no handovers — the walker baseline);
 // interleavedN adds N-VM cooperative scheduling with yields at every
 // load/store/atomic; the traced variant layers per-replica trace
-// recording on top, the full concurrent-campaign trial configuration.
+// recording on top, and the checked variant runs the consistency checker
+// over that trace — the full concurrent-campaign trial configuration.
 // The serial/interleaved trials-per-second ratio is the scheduling cost,
-// and interleaved/traced isolates the recorder's share.
+// interleaved/traced isolates the recorder's share and traced/checked
+// the checker's.
 func BenchmarkScheduler(b *testing.B) {
 	w, err := workloads.ConcurrentByName("chash")
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, threads int, traced bool) {
+	run := func(b *testing.B, threads int, traced, checked bool) {
 		m := w.Build(threads)
 		m.Freeze()
+		pool := mem.NewPool(benchMem)
 		var switches uint64
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -894,18 +898,24 @@ func BenchmarkScheduler(b *testing.B) {
 				Threads:       threads,
 				Seed:          1,
 				TraceDisabled: !traced,
-				VM:            interp.Config{Externs: extlib.Base(), Mem: benchMem},
+				VM:            interp.Config{Externs: extlib.Base(), Mem: benchMem, SpacePool: pool},
 			})
 			c := res.Combined
 			if c.Kind != interp.ExitNormal || c.Code != 0 {
 				b.Fatalf("chash (%d threads): %v code %d (%s)", threads, c.Kind, c.Code, c.Reason)
+			}
+			if checked {
+				if rep := consist.Check(res.Trace); !rep.Clean() {
+					b.Fatalf("chash (%d threads): %d consistency violations", threads, len(rep.Violations))
+				}
 			}
 			switches = res.Switches
 		}
 		b.ReportMetric(float64(switches), "switches/run")
 		reportTrialsPerSec(b, 1)
 	}
-	b.Run("serial1", func(b *testing.B) { run(b, 1, false) })
-	b.Run("interleaved3", func(b *testing.B) { run(b, 3, false) })
-	b.Run("interleaved3traced", func(b *testing.B) { run(b, 3, true) })
+	b.Run("serial1", func(b *testing.B) { run(b, 1, false, false) })
+	b.Run("interleaved3", func(b *testing.B) { run(b, 3, false, false) })
+	b.Run("interleaved3traced", func(b *testing.B) { run(b, 3, true, false) })
+	b.Run("interleaved3checked", func(b *testing.B) { run(b, 3, true, true) })
 }

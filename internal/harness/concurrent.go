@@ -148,7 +148,7 @@ func (r *Runner) concurrentGolden(w workloads.ConcurrentWorkload, threads int, s
 			Threads:       threads,
 			Seed:          schedSeed,
 			TraceDisabled: true,
-			VM:            interp.Config{Externs: extlib.Base(), Mem: r.MemConfig},
+			VM:            interp.Config{Externs: extlib.Base(), Mem: r.MemConfig, SpacePool: r.spaces()},
 		})
 		c := res.Combined
 		if c.Kind != interp.ExitNormal || c.Code != 0 {
@@ -183,6 +183,7 @@ func (r *Runner) runConcurrentOnce(w workloads.ConcurrentWorkload, v Variant, th
 		VM: interp.Config{
 			Externs:   externs,
 			Mem:       r.MemConfig,
+			SpacePool: r.spaces(),
 			Seed:      int64(rn) + 1,
 			StepLimit: golden.Steps * r.TimeoutFactor * 5, // group steps sum over threads
 		},

@@ -30,6 +30,7 @@ import (
 	"dpmr/internal/failpt"
 	"dpmr/internal/interp"
 	"dpmr/internal/ir"
+	"dpmr/internal/mem"
 	"dpmr/internal/opt"
 	"dpmr/internal/workloads"
 )
@@ -82,12 +83,28 @@ func pinCases(t *testing.T) []pinCase {
 			cfg:  Config{Threads: 2, Seed: 9, VM: interp.Config{StepLimit: testStepLimit}},
 		},
 		pinCase{
+			name: "timeout/" + w.Name + "/t3/s3",
+			m:    buildFrozen(w, 3),
+			cfg:  Config{Threads: 3, Seed: 3, VM: interp.Config{StepLimit: 5_000, Seed: 7}},
+		},
+		pinCase{
 			name:  "yield-stall/" + workloads.Concurrent()[1].Name + "/t2/s21",
 			m:     buildFrozen(workloads.Concurrent()[1], 2),
 			cfg:   Config{Threads: 2, Seed: 21, VM: interp.Config{StepLimit: testStepLimit, Seed: 7}},
 			armed: "interp/yield-stall=stall(1)@3",
 		},
 	)
+	// Larger aborting groups: several workers trap, and the unwind chain
+	// meets threads both parked at a yield and not yet started.
+	for threads := 3; threads <= 4; threads++ {
+		for seed := int64(1); seed <= 4; seed++ {
+			cases = append(cases, pinCase{
+				name: fmt.Sprintf("abort/crashworker/t%d/s%d", threads, seed),
+				m:    crashWorkerModule(),
+				cfg:  Config{Threads: threads, Seed: seed, VM: interp.Config{StepLimit: testStepLimit}},
+			})
+		}
+	}
 	return cases
 }
 
@@ -160,17 +177,28 @@ func readPins(t *testing.T) map[string]string {
 }
 
 // TestSchedulePins runs every pinned group and compares its outcome hash
-// with testdata/schedules.txt.
+// with testdata/schedules.txt. Each group runs twice, on a fresh space
+// and on one recycled through a pool shared by all groups, and both runs
+// must hash alike.
 func TestSchedulePins(t *testing.T) {
 	got := make(map[string]string)
+	pool := mem.NewPool(mem.Config{})
 	for _, c := range pinCases(t) {
-		if c.armed != "" {
-			if err := failpt.Arm(c.armed); err != nil {
-				t.Fatal(err)
+		run := func(cfg Config) string {
+			if c.armed != "" {
+				if err := failpt.Arm(c.armed); err != nil {
+					t.Fatal(err)
+				}
+				defer failpt.Disarm()
 			}
+			return groupHash(t, Run(c.m, cfg))
 		}
-		got[c.name] = groupHash(t, Run(c.m, c.cfg))
-		failpt.Disarm()
+		got[c.name] = run(c.cfg)
+		pooled := c.cfg
+		pooled.VM.SpacePool = pool
+		if h := run(pooled); h != got[c.name] {
+			t.Errorf("%s: outcome hash on a pooled space %s, on a fresh space %s", c.name, h, got[c.name])
+		}
 	}
 	if *update {
 		names := make([]string, 0, len(got))

@@ -5,18 +5,20 @@
 // runs main(), threads 1..N-1 run worker(tid). Execution is cooperative —
 // every VM yields at each load, store, atomic, and fence (Config.Yield in
 // interp) — and strictly serialized: exactly one VM executes at any
-// instant, with control handed over through unbuffered channels, so the
-// group contains no Go-level data races even though the simulated threads
-// race freely over shared simulated memory. At every yield the scheduler
-// draws the next runnable thread from a PRNG seeded with the schedule
-// seed, making the interleaving a pure function of (seed, program): the
-// same trial replays bit-identically at any host parallelism, which is
-// what extends the harness's byte-identity guarantees (shard/merge/
-// journal/coordinator) to the concurrent kind.
+// instant, so the group contains no Go-level data races even though the
+// simulated threads race freely over shared simulated memory. At every
+// yield the running thread itself draws the next runnable thread from a
+// PRNG seeded with the schedule seed: drawing itself, it simply goes on;
+// drawing another, it hands control over with one channel send. The
+// interleaving is thus a pure function of (seed, program): the same
+// trial replays bit-identically at any host parallelism, which is what
+// extends the harness's byte-identity guarantees (shard/merge/journal/
+// coordinator) to the concurrent kind.
 //
 // The first thread to exit abnormally (trap, DPMR detection, timeout)
-// aborts the group: remaining threads are resumed once to unwind via a
-// sentinel panic and the failing thread's exit classifies the trial.
+// aborts the group: remaining threads are resumed once, in thread order,
+// to unwind via a sentinel panic and the failing thread's exit
+// classifies the trial.
 // Because the walker is the oracle for concurrent execution (the Yield
 // hook routes every VM through the tree-walking loop), compiled-engine
 // divergence cannot leak into concurrent results.
@@ -50,10 +52,11 @@ type Config struct {
 	// TraceDisabled skips trace recording entirely (benchmarks).
 	TraceDisabled bool
 	// VM is the per-thread VM configuration. Mem sizes the one shared
-	// space; Seed seeds thread 0, with worker seeds derived per thread;
-	// SpacePool, SharedSpace, SharedGlobals, Yield, and ThreadID are
-	// managed by the scheduler and must be unset. StepLimit bounds each
-	// thread separately.
+	// space; SpacePool, when set, supplies that space and takes it back
+	// after the run (its config must match Mem); Seed seeds thread 0,
+	// with worker seeds derived per thread; SharedSpace, SharedGlobals,
+	// Yield, and ThreadID are managed by the scheduler and must be
+	// unset. StepLimit bounds each thread separately.
 	VM interp.Config
 }
 
@@ -85,20 +88,93 @@ type abortUnwind struct{}
 type thread struct {
 	id     int
 	resume chan struct{}
-	parked chan struct{} // signaled at every yield and at exit
-	done   bool
 	res    *interp.Result
 }
 
-// yield hands control back to the scheduler; it returns when the
-// scheduler next picks this thread, or panics the abort sentinel if the
-// group failed in between.
-func (t *thread) yield(aborted *bool) {
-	t.parked <- struct{}{}
-	<-t.resume
-	if *aborted {
-		panic(abortUnwind{})
+// group is the interleaving state of one Run. Exactly one goroutine —
+// the running thread, or Run before the first handoff — touches it at a
+// time; every handoff is a channel send, which orders the accesses.
+type group struct {
+	rng     *rand.Rand
+	live    []*thread // threads that have not exited, in draw order
+	cur     int       // live index of the thread drawn last
+	aborted bool
+	space   *mem.Space
+	trace   *mem.TraceRec
+	res     *Result
+	done    chan struct{} // signaled once the last thread has exited
+}
+
+// pick chooses the next thread to run and hands it the space (stack
+// window and trace labeling): a PRNG draw over the live threads, or,
+// once the group has aborted, the next thread of the unwind chain in
+// live order. It returns nil when no thread is left.
+func (g *group) pick() *thread {
+	if len(g.live) == 0 {
+		return nil
 	}
+	var u *thread
+	if g.aborted {
+		u, g.live = g.live[0], g.live[1:]
+	} else {
+		g.cur = g.rng.Intn(len(g.live))
+		u = g.live[g.cur]
+	}
+	g.space.SwitchStack(u.id)
+	if g.trace != nil {
+		g.trace.SetThread(u.id)
+	}
+	return u
+}
+
+// handoff passes control to u, or tells Run the group is over when u is
+// nil.
+func (g *group) handoff(u *thread) {
+	if u == nil {
+		g.done <- struct{}{}
+	} else {
+		u.resume <- struct{}{}
+	}
+}
+
+// yield is running thread t's scheduling point: it draws the next thread
+// itself and keeps running when it draws itself, so a yield costs a
+// channel hop only when control actually moves. It panics the abort
+// sentinel when the group has failed — at once for a thread that first
+// reaches a yield inside the unwind chain, or on resumption for a parked
+// one.
+func (g *group) yield(t *thread) {
+	if !g.aborted {
+		g.res.Switches++
+		u := g.pick()
+		if u == t {
+			return
+		}
+		g.handoff(u)
+		<-t.resume
+		if !g.aborted {
+			return
+		}
+	}
+	panic(abortUnwind{})
+}
+
+// exit retires thread t (finished, or unwound by the abort sentinel),
+// starts the unwind chain on the group's first abnormal exit, and hands
+// control on.
+func (g *group) exit(t *thread) {
+	g.res.Switches++
+	g.res.Threads[t.id] = t.res
+	if !g.aborted {
+		// Chain threads were already taken off live when picked.
+		g.live = append(g.live[:g.cur], g.live[g.cur+1:]...)
+		if t.res != nil && t.res.Kind != interp.ExitNormal {
+			// First abnormal exit: classify the group and unwind the rest.
+			g.aborted = true
+			g.res.FailedThread = t.id
+		}
+	}
+	g.handoff(g.pick())
 }
 
 // derivedSeed spreads the base VM seed across worker threads (splitmix
@@ -108,8 +184,9 @@ func derivedSeed(base int64, tid int) int64 {
 }
 
 // Run executes one concurrent group of m and returns its outcome. Setup
-// failures (bad config, missing worker function) are reported as an
-// ExitError Combined result, mirroring interp.Run.
+// failures (bad config, missing worker function, a SpacePool built for
+// another memory geometry) are reported as an ExitError Combined result,
+// mirroring interp.Run.
 func Run(m *ir.Module, cfg Config) *Result {
 	fail := func(format string, args ...any) *Result {
 		return &Result{
@@ -121,7 +198,7 @@ func Run(m *ir.Module, cfg Config) *Result {
 	if n < 1 {
 		return fail("sched: Threads must be >= 1, got %d", n)
 	}
-	if cfg.VM.SharedSpace != nil || cfg.VM.SharedGlobals != nil || cfg.VM.SpacePool != nil || cfg.VM.Yield != nil {
+	if cfg.VM.SharedSpace != nil || cfg.VM.SharedGlobals != nil || cfg.VM.Yield != nil {
 		return fail("sched: Config.VM space and yield fields are scheduler-managed")
 	}
 	mainFn := m.Func("main")
@@ -138,9 +215,25 @@ func Run(m *ir.Module, cfg Config) *Result {
 		}
 	}
 
-	space := mem.NewSpace(cfg.VM.Mem)
+	pool := cfg.VM.SpacePool
+	var space *mem.Space
+	if pool != nil {
+		if got := pool.Config(); got != cfg.VM.Mem.WithDefaults() {
+			return fail("sched: Config.VM.SpacePool built for %+v, but Config.VM.Mem wants %+v", got, cfg.VM.Mem.WithDefaults())
+		}
+		space = pool.Get()
+	} else {
+		space = mem.NewSpace(cfg.VM.Mem)
+	}
+	// On setup failure a pooled space goes straight back to the pool.
+	setupFail := func(format string, args ...any) *Result {
+		if pool != nil {
+			pool.Put(space)
+		}
+		return fail(format, args...)
+	}
 	if err := space.PartitionStack(n); err != nil {
-		return fail("sched: %v", err)
+		return setupFail("sched: %v", err)
 	}
 	var trace *mem.TraceRec
 	if !cfg.TraceDisabled {
@@ -148,16 +241,23 @@ func Run(m *ir.Module, cfg Config) *Result {
 		space.SetTrace(trace)
 	}
 
-	aborted := false
-	threads := make([]*thread, n)
+	g := &group{
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		live:  make([]*thread, n),
+		space: space,
+		trace: trace,
+		res:   &Result{Threads: make([]*interp.Result, n), FailedThread: -1, Trace: trace},
+		done:  make(chan struct{}),
+	}
 	vms := make([]*interp.VM, n)
 	for tid := 0; tid < n; tid++ {
-		t := &thread{id: tid, resume: make(chan struct{}), parked: make(chan struct{})}
-		threads[tid] = t
+		t := &thread{id: tid, resume: make(chan struct{})}
+		g.live[tid] = t
 		vcfg := cfg.VM
+		vcfg.SpacePool = nil
 		vcfg.SharedSpace = space
 		vcfg.ThreadID = tid
-		vcfg.Yield = func() { t.yield(&aborted) }
+		vcfg.Yield = func() { g.yield(t) }
 		if tid > 0 {
 			vcfg.Seed = derivedSeed(cfg.VM.Seed, tid)
 			vcfg.SharedGlobals = vms[0].GlobalTable()
@@ -168,17 +268,16 @@ func Run(m *ir.Module, cfg Config) *Result {
 		// args, so in practice setup allocates globals only).
 		vm, err := interp.NewVM(m, vcfg)
 		if err != nil {
-			return fail("sched: thread %d: %v", tid, err)
+			return setupFail("sched: thread %d: %v", tid, err)
 		}
 		vms[tid] = vm
 	}
 
-	// One goroutine per thread, each parked until its first resume. The
-	// unbuffered handover (parked/resume) means the scheduler and all
-	// threads form a single logical thread of control.
-	for tid := range threads {
-		t := threads[tid]
-		vm := vms[tid]
+	// One goroutine per thread, each parked until its first resume. Every
+	// handoff is a single send from the thread giving up control to the
+	// one taking it, so the threads form one logical thread of control.
+	for tid := range g.live {
+		t, vm := g.live[tid], vms[tid]
 		go func() {
 			<-t.resume
 			defer func() {
@@ -188,8 +287,7 @@ func Run(m *ir.Module, cfg Config) *Result {
 					}
 					t.res = nil // unwound after the group aborted
 				}
-				t.done = true
-				t.parked <- struct{}{}
+				g.exit(t)
 			}()
 			if t.id == 0 {
 				t.res = vm.Run()
@@ -198,45 +296,11 @@ func Run(m *ir.Module, cfg Config) *Result {
 			}
 		}()
 	}
-
-	// The interleaving loop: repeatedly pick a live thread, hand it the
-	// space (stack window + trace labeling), run it to its next yield.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	live := make([]*thread, n)
-	copy(live, threads)
-	res := &Result{Threads: make([]*interp.Result, n), FailedThread: -1, Trace: trace}
-	runOne := func(t *thread) {
-		space.SwitchStack(t.id)
-		if trace != nil {
-			trace.SetThread(t.id)
-		}
-		t.resume <- struct{}{}
-		<-t.parked
-		res.Switches++
-	}
-	for len(live) > 0 {
-		i := rng.Intn(len(live))
-		t := live[i]
-		runOne(t)
-		if !t.done {
-			continue
-		}
-		live = append(live[:i], live[i+1:]...)
-		res.Threads[t.id] = t.res
-		if t.res != nil && t.res.Kind != interp.ExitNormal && !aborted {
-			// First abnormal exit: classify the group and unwind the rest.
-			aborted = true
-			res.FailedThread = t.id
-			for len(live) > 0 {
-				u := live[0]
-				live = live[1:]
-				runOne(u) // resumes into the abort sentinel
-				res.Threads[u.id] = u.res
-			}
-		}
-	}
+	g.handoff(g.pick())
+	<-g.done
 
 	// Combine per-thread results into the group classification.
+	res := g.res
 	comb := &interp.Result{Kind: interp.ExitNormal}
 	if res.FailedThread >= 0 {
 		f := res.Threads[res.FailedThread]
@@ -266,6 +330,9 @@ func Run(m *ir.Module, cfg Config) *Result {
 		}
 	}
 	comb.Mem = space.Stats()
+	if pool != nil {
+		pool.Put(space)
+	}
 	res.Combined = comb
 	return res
 }

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"dpmr/internal/consist"
 	"dpmr/internal/dpmr"
 	"dpmr/internal/failpt"
 	"dpmr/internal/interp"
 	"dpmr/internal/ir"
+	"dpmr/internal/mem"
 	"dpmr/internal/opt"
 	"dpmr/internal/workloads"
 )
@@ -181,6 +185,71 @@ func TestAbortOnThreadFailure(t *testing.T) {
 	}
 	if res.Threads[0] != nil {
 		t.Fatalf("main should have been unwound, got %+v", res.Threads[0])
+	}
+}
+
+// TestAbortLeavesNoGoroutines: every thread of an aborted group ends,
+// including one the unwind chain starts for the first time (it runs to
+// its first yield and unwinds there instead of parking for good).
+func TestAbortLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for threads := 3; threads <= 4; threads++ {
+		for seed := int64(1); seed <= 4; seed++ {
+			res := Run(crashWorkerModule(), Config{Threads: threads, Seed: seed, VM: interp.Config{StepLimit: testStepLimit}})
+			if res.Combined.Kind != interp.ExitTrap {
+				t.Fatalf("t%d s%d: want trap, got %v (%s)", threads, seed, res.Combined.Kind, res.Combined.Reason)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("aborted groups left %d goroutines behind", n-before)
+	}
+}
+
+// TestPooledSpaceAfterAbort: a space recycled from a pool whose last
+// group was traced, 3-threaded and aborted mid-run replays a group
+// exactly like a fresh space — every Result field, trace included.
+func TestPooledSpaceAfterAbort(t *testing.T) {
+	pool := mem.NewPool(mem.Config{})
+	m := buildFrozen(workloads.Concurrent()[0], 3)
+	abort := Run(m, Config{Threads: 3, Seed: 3, VM: interp.Config{StepLimit: 5_000, Seed: 7, SpacePool: pool}})
+	if abort.Combined.Kind != interp.ExitTimeout || abort.FailedThread < 0 {
+		t.Fatalf("dirtying group: want a timeout abort, got %v (%s)", abort.Combined.Kind, abort.Combined.Reason)
+	}
+	if abort.Trace == nil || abort.Trace.Len() == 0 {
+		t.Fatal("dirtying group recorded no trace")
+	}
+	recycled := pool.Get()
+	pool.Put(recycled)
+
+	cfg := Config{Threads: 3, Seed: 1234, VM: interp.Config{StepLimit: testStepLimit, Seed: 7}}
+	fresh := Run(m, cfg)
+	cfg.VM.SpacePool = pool
+	pooled := Run(m, cfg)
+	if s := pool.Get(); s != recycled {
+		t.Fatal("the pooled group did not run on (and return) the recycled space")
+	}
+	if fresh.Combined.Kind != interp.ExitNormal {
+		t.Fatalf("fresh group: %v (%s)", fresh.Combined.Kind, fresh.Combined.Reason)
+	}
+	if !reflect.DeepEqual(fresh, pooled) {
+		t.Fatalf("pooled group diverged from fresh group:\nfresh  %+v\npooled %+v", fresh.Combined, pooled.Combined)
+	}
+}
+
+// TestSpacePoolMismatchRejected: a pool built for another memory
+// geometry is refused by name instead of running the group in the wrong
+// address space.
+func TestSpacePoolMismatchRejected(t *testing.T) {
+	m := buildFrozen(workloads.Concurrent()[0], 2)
+	small := mem.NewPool(mem.Config{HeapBytes: 64 * 1024, StackBytes: 8 * 1024, GlobalBytes: 4096})
+	res := Run(m, Config{Threads: 2, VM: interp.Config{SpacePool: small}})
+	if res.Combined.Kind != interp.ExitError || !strings.Contains(res.Combined.Reason, "SpacePool built for") {
+		t.Fatalf("want a named ExitError, got %v (%s)", res.Combined.Kind, res.Combined.Reason)
 	}
 }
 
