@@ -48,6 +48,14 @@ var (
 	siteCompletion = failpt.Register("coord/completion", failpt.KindDrop)
 )
 
+// ErrNoWorker marks a shard attempt that never reached a worker: a
+// pooling Worker found none free within its checkout bound. The attempt
+// counts toward MaxAttempts, so a fleet that stays empty ends the run
+// with a named refusal, but it says nothing against the worker slot or
+// the shard: the slot is not respawned and the failure does not count
+// toward the poison threshold.
+var ErrNoWorker = errors.New("coord: no worker free")
+
 // PoisonShardError is the named refusal for a poison shard: one whose
 // attempts failed on PoisonK distinct worker incarnations. The shard
 // is isolated (the run stops retrying it) and the refusal names it,
@@ -383,9 +391,10 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 				continue
 			}
 			// An in-band shard error came from a live worker: keep
-			// its warm state, retry elsewhere.
+			// its warm state, retry elsewhere. An attempt that found no
+			// worker leaves nothing to replace either.
 			var inBand *ShardError
-			if errors.As(err, &inBand) {
+			if errors.As(err, &inBand) || errors.Is(err, ErrNoWorker) {
 				continue
 			}
 			// Otherwise the worker may be dead (a killed process);
@@ -522,7 +531,9 @@ func (c *Coordinator) Run(ctx context.Context) ([][]byte, error) {
 				if failedBy[ev.shard] == nil {
 					failedBy[ev.shard] = map[int]struct{}{}
 				}
-				failedBy[ev.shard][ev.worker] = struct{}{}
+				if !errors.Is(ev.err, ErrNoWorker) {
+					failedBy[ev.shard][ev.worker] = struct{}{}
+				}
 				// Poison check first: "failed K distinct workers" is the
 				// sharper refusal than "attempts exhausted" when both hold.
 				if len(failedBy[ev.shard]) >= cfg.PoisonK {

@@ -55,11 +55,22 @@ func TestCoordinatorCollectsAllShards(t *testing.T) {
 func TestCoordinatorRetriesCrashedWorker(t *testing.T) {
 	var crashes int32 = 2 // the first two attempts overall die
 	var spawns int32
+	respawned := make(chan struct{})
 	spawn := func(id int) (coord.Worker, error) {
-		atomic.AddInt32(&spawns, 1)
+		if atomic.AddInt32(&spawns, 1) == 4 {
+			close(respawned)
+		}
 		return coord.Func(func(_ context.Context, _ harness.Spec, s harness.ShardSpec) ([]byte, error) {
 			if atomic.AddInt32(&crashes, -1) >= 0 {
 				return nil, errors.New("worker killed mid-shard (injected)")
+			}
+			// Hold finished shards until both crashed slots have
+			// respawned: otherwise the healthy slot can finish the plan
+			// first, and the shutdown rightly skips a respawn nobody
+			// would use.
+			select {
+			case <-respawned:
+			case <-time.After(5 * time.Second):
 			}
 			return payload(s), nil
 		}), nil

@@ -57,6 +57,31 @@ func TestPoisonShardNamedRefusal(t *testing.T) {
 	}
 }
 
+// TestNoWorkerAttemptsExhaust: attempts that never reached a worker
+// (ErrNoWorker) exhaust MaxAttempts into a named refusal without
+// respawning the slot or calling the shard poison.
+func TestNoWorkerAttemptsExhaust(t *testing.T) {
+	var spawns int
+	empty := coord.Func(func(context.Context, harness.Spec, harness.ShardSpec) ([]byte, error) {
+		return nil, fmt.Errorf("fleet empty: %w", coord.ErrNoWorker)
+	})
+	co, err := coord.New(coord.Config{
+		Shards: 1, Workers: 1, MaxAttempts: 4, PoisonK: 2, Quarantine: -1,
+		Spawn: func(int) (coord.Worker, error) { spawns++; return empty, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = co.Run(context.Background())
+	var pe *coord.PoisonShardError
+	if err == nil || errors.As(err, &pe) || !errors.Is(err, coord.ErrNoWorker) || !strings.Contains(err.Error(), "after 4 attempts") {
+		t.Fatalf("empty fleet refused with %v, want attempts exhausted on ErrNoWorker", err)
+	}
+	if spawns != 1 {
+		t.Errorf("slot spawned %d times, want once: a checkout miss is not a dead worker", spawns)
+	}
+}
+
 // TestCompletionDropIsRecovered: a completion swallowed by the
 // coord/completion failpoint (the worker died between finishing and
 // delivering) is retried and the run still produces every payload.

@@ -600,8 +600,17 @@ type poolProxy struct {
 }
 
 func (p *poolProxy) Run(ctx context.Context, spec harness.Spec, shard harness.ShardSpec) ([]byte, error) {
-	w, err := p.s.pool.get(ctx)
+	// A checkout waits at most one lease. A fleet that stays empty that
+	// long (every socket severed, no rejoin getting through) fails the
+	// attempt by name, so the attempt limit ends the submission instead
+	// of leaving it parked in checkout while workers redial.
+	cctx, cancel := context.WithTimeout(ctx, p.s.cfg.Lease)
+	w, err := p.s.pool.get(cctx)
+	cancel()
 	if err != nil {
+		if ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+			return nil, fmt.Errorf("coordnet: no fleet worker free within the %v lease: %w", p.s.cfg.Lease, coord.ErrNoWorker)
+		}
 		return nil, err
 	}
 	if w.remote() && atomic.AddInt64(&p.s.chaos, -1) >= 0 {

@@ -12,6 +12,7 @@ package coordnet_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
@@ -78,85 +79,110 @@ func TestSeededTortureDrill(t *testing.T) {
 		iterSeed := seed + int64(i)
 		sched := failpt.RandomSchedule(iterSeed, 4)
 		t.Logf("iteration %d: seed %d schedule %q", i, iterSeed, sched)
-
-		before := runtime.NumGoroutine()
-		srv, addr, shutdown := daemon(t, coordnet.ServerConfig{
-			JournalRoot: t.TempDir(),
-			Lease:       2 * time.Second,
-			Keepalive:   200 * time.Millisecond,
-		})
-		wctx, wcancel := context.WithCancel(context.Background())
-		workers := launchTolerantWorkers(wctx, 3, addr)
-
-		// Give the fleet a moment to assemble before the faults arm; a
-		// drill against an empty fleet only ever exercises checkout
-		// timeouts. Proceed regardless — that outcome is legal too.
-		assembleDeadline := time.Now().Add(2 * time.Second)
-		for srv.FleetSize() < 3 && time.Now().Before(assembleDeadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-
-		if err := failpt.Arm(sched); err != nil {
-			t.Fatalf("iteration %d: RandomSchedule produced an unarmable schedule %q: %v", i, sched, err)
-		}
-
-		// The hang bound: a drill outcome must arrive within the
-		// deadline or the iteration fails — "no third outcome" includes
-		// no wedging.
-		sctx, scancel := context.WithTimeout(context.Background(), 60*time.Second)
-		payloads, err := coordnet.Submit(sctx, addr, spec, nil)
-		wedged := sctx.Err() != nil
-		scancel()
-		failpt.Disarm()
-
-		hits := failpt.Sites()
-		var fired []string
-		for site, n := range hits {
-			if n > 0 {
-				fired = append(fired, site+"="+strconv.Itoa(n))
-			}
-		}
-		sort.Strings(fired)
-		t.Logf("iteration %d: site hits %v", i, fired)
-
-		switch {
-		case wedged:
-			t.Errorf("iteration %d (seed %d): drill wedged past the %v deadline — the forbidden third outcome", i, iterSeed, 60*time.Second)
-		case err != nil:
-			// Outcome 2: a named refusal. The error must say something —
-			// an empty message is a silent failure with an exit code.
-			if err.Error() == "" {
-				t.Errorf("iteration %d (seed %d): refusal carries no name", i, iterSeed)
-			}
-			t.Logf("iteration %d: named refusal: %v", i, err)
-		default:
-			// Outcome 1: byte-identical to the undisturbed run.
-			parts := make([]*harness.PartialResult, len(payloads))
-			decodeErr := false
-			for k, payload := range payloads {
-				p, derr := harness.DecodePartial(bytes.NewReader(payload))
-				if derr != nil {
-					t.Errorf("iteration %d (seed %d): undecodable shard payload: %v", i, iterSeed, derr)
-					decodeErr = true
-					break
-				}
-				parts[k] = p
-			}
-			if !decodeErr {
-				merged, merr := harness.NewRunner().MergeCampaign(spec, parts)
-				if merr != nil {
-					t.Errorf("iteration %d (seed %d): survived payloads do not merge: %v", i, iterSeed, merr)
-				} else if !reflect.DeepEqual(golden, merged) {
-					t.Errorf("iteration %d (seed %d): SILENT DIVERGENCE — merged result differs from the undisturbed run", i, iterSeed)
-				} else {
-					t.Logf("iteration %d: identical merged result", i)
-				}
-			}
-		}
-
-		wcancel()
-		workers.Wait()
-		shutdown()
-		checkGoroutines(t, before)
+		drill(t, spec, golden, sched, fmt.Sprintf("iteration %d (seed %d)", i, iterSeed))
 	}
+}
+
+// TestTortureSeverSchedules replays the two schedules that once wedged
+// the drill (base seed 1792236108032892151, iterations 0 and 1). Once
+// every frame write severs, no worker can rejoin and no frame reaches
+// the client; the submission must still end in one of the two outcomes
+// within the deadline.
+func TestTortureSeverSchedules(t *testing.T) {
+	spec := testCampaignSpec()
+	golden, err := harness.NewRunner().RunCampaign(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sched := range []string{
+		"mem/trace-drop=drop@8+;coord/completion=drop@5;net/frame-write=sever@7+;net/keepalive=drop@4+",
+		"net/handshake=stall(17)@8+;harness/resume=err(ENOSPC)@8+;net/frame-write=torn(32)@4+;net/handshake=stall(22)@6+",
+	} {
+		drill(t, spec, golden, sched, fmt.Sprintf("schedule %q", sched))
+	}
+}
+
+// drill runs one torture iteration: a daemon with three tolerant
+// workers, the schedule armed over a journaled remote submission, and
+// the two-outcome check on what comes back.
+func drill(t *testing.T, spec harness.Spec, golden *harness.CampaignResult, sched, label string) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	srv, addr, shutdown := daemon(t, coordnet.ServerConfig{
+		JournalRoot: t.TempDir(),
+		Lease:       2 * time.Second,
+		Keepalive:   200 * time.Millisecond,
+	})
+	wctx, wcancel := context.WithCancel(context.Background())
+	workers := launchTolerantWorkers(wctx, 3, addr)
+
+	// Give the fleet a moment to assemble before the faults arm; a
+	// drill against an empty fleet only ever exercises checkout
+	// timeouts. Proceed regardless — that outcome is legal too.
+	assembleDeadline := time.Now().Add(2 * time.Second)
+	for srv.FleetSize() < 3 && time.Now().Before(assembleDeadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	if err := failpt.Arm(sched); err != nil {
+		t.Fatalf("%s: unarmable schedule: %v", label, err)
+	}
+
+	// The hang bound: a drill outcome must arrive within the deadline or
+	// the iteration fails — "no third outcome" includes no wedging.
+	start := time.Now()
+	sctx, scancel := context.WithTimeout(context.Background(), 60*time.Second)
+	payloads, err := coordnet.Submit(sctx, addr, spec, nil)
+	wedged := sctx.Err() != nil
+	scancel()
+	failpt.Disarm()
+
+	hits := failpt.Sites()
+	var fired []string
+	for site, n := range hits {
+		if n > 0 {
+			fired = append(fired, site+"="+strconv.Itoa(n))
+		}
+	}
+	sort.Strings(fired)
+	t.Logf("%s: outcome after %v, site hits %v", label, time.Since(start).Round(time.Millisecond), fired)
+
+	switch {
+	case wedged:
+		t.Errorf("%s: drill wedged past the %v deadline — the forbidden third outcome", label, 60*time.Second)
+	case err != nil:
+		// Outcome 2: a named refusal. The error must say something — an
+		// empty message is a silent failure with an exit code.
+		if err.Error() == "" {
+			t.Errorf("%s: refusal carries no name", label)
+		}
+		t.Logf("%s: named refusal: %v", label, err)
+	default:
+		// Outcome 1: byte-identical to the undisturbed run.
+		parts := make([]*harness.PartialResult, len(payloads))
+		for k, payload := range payloads {
+			p, derr := harness.DecodePartial(bytes.NewReader(payload))
+			if derr != nil {
+				t.Errorf("%s: undecodable shard payload: %v", label, derr)
+				parts = nil
+				break
+			}
+			parts[k] = p
+		}
+		if parts != nil {
+			merged, merr := harness.NewRunner().MergeCampaign(spec, parts)
+			if merr != nil {
+				t.Errorf("%s: survived payloads do not merge: %v", label, merr)
+			} else if !reflect.DeepEqual(golden, merged) {
+				t.Errorf("%s: SILENT DIVERGENCE — merged result differs from the undisturbed run", label)
+			} else {
+				t.Logf("%s: identical merged result", label)
+			}
+		}
+	}
+
+	wcancel()
+	workers.Wait()
+	shutdown()
+	checkGoroutines(t, before)
 }
