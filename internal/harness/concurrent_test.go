@@ -236,3 +236,31 @@ func TestConcurrentConsistViolSurfaces(t *testing.T) {
 	}
 	t.Fatal("no probed trace-drop position provoked a consistency violation")
 }
+
+// TestConcurrentFaultFreeMetamorphic: with no fault injected, DPMR must
+// be invisible. Every concurrent workload under stdapp, an SDS and an
+// MDS variant, across eight schedules, gives correct output in every
+// trial, no detection of either kind and a clean consistency check.
+func TestConcurrentFaultFreeMetamorphic(t *testing.T) {
+	spec := ConcurrentSpec([]string{"chash", "cpipe", "csteal"}, []Variant{
+		Stdapp(),
+		NewVariant(dpmr.SDS, dpmr.NoDiversity{}, dpmr.AllLoads{}),
+		NewVariant(dpmr.MDS, dpmr.NoDiversity{}, dpmr.AllLoads{}),
+	})
+	spec.Runs = 8
+	cr, err := NewRunner().RunConcurrent(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cr.Workloads) != 3 || len(cr.Variants) != 3 {
+		t.Fatalf("campaign covered %d workloads × %d variants, want 3 × 3", len(cr.Workloads), len(cr.Variants))
+	}
+	for _, v := range cr.Variants {
+		for _, w := range cr.Workloads {
+			c := cr.Cell(v, w)
+			if c.N != 8 || c.CO != 1 || c.NatDet != 0 || c.DpmrDet != 0 || c.ConsistViol != 0 {
+				t.Errorf("%s %s: %+v, want N=8 CO=1 and no detection or violation", v.Label(), w, *c)
+			}
+		}
+	}
+}
