@@ -83,11 +83,12 @@ func TestSeededTortureDrill(t *testing.T) {
 	}
 }
 
-// TestTortureSeverSchedules replays the two schedules that once wedged
-// the drill (base seed 1792236108032892151, iterations 0 and 1). Once
-// every frame write severs, no worker can rejoin and no frame reaches
-// the client; the submission must still end in one of the two outcomes
-// within the deadline.
+// TestTortureSeverSchedules replays schedules that once wedged the
+// drill: base seed 1792236108032892151, iterations 0 and 1 (every later
+// frame write severed or torn), and base seed 1792238361926118528,
+// iteration 2 (every later frame read severed). No worker can rejoin
+// and no frame reaches the client; the submission must still end in
+// one of the two outcomes within the deadline.
 func TestTortureSeverSchedules(t *testing.T) {
 	spec := testCampaignSpec()
 	golden, err := harness.NewRunner().RunCampaign(context.Background(), spec)
@@ -97,6 +98,7 @@ func TestTortureSeverSchedules(t *testing.T) {
 	for _, sched := range []string{
 		"mem/trace-drop=drop@8+;coord/completion=drop@5;net/frame-write=sever@7+;net/keepalive=drop@4+",
 		"net/handshake=stall(17)@8+;harness/resume=err(ENOSPC)@8+;net/frame-write=torn(32)@4+;net/handshake=stall(22)@6+",
+		"coord/completion=drop@1;net/frame-read=sever@5+;net/frame-read=sever@5;net/handshake=stall(20)@6",
 	} {
 		drill(t, spec, golden, sched, fmt.Sprintf("schedule %q", sched))
 	}
