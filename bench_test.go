@@ -877,10 +877,11 @@ func BenchmarkAblationOptimizerPipeline(b *testing.B) {
 // interleavedN adds N-VM cooperative scheduling with yields at every
 // load/store/atomic; the traced variant layers per-replica trace
 // recording on top, and the checked variant runs the consistency checker
-// over that trace — the full concurrent-campaign trial configuration.
-// The serial/interleaved trials-per-second ratio is the scheduling cost,
-// interleaved/traced isolates the recorder's share and traced/checked
-// the checker's.
+// over that trace and releases it — the full concurrent-campaign trial
+// configuration. The serial/interleaved trials-per-second ratio is the
+// scheduling cost and interleaved/traced the share of a recorder that
+// grows its buffers from empty; traced/checked nets the checker's cost
+// against what recycling the recorder saves.
 func BenchmarkScheduler(b *testing.B) {
 	w, err := workloads.ConcurrentByName("chash")
 	if err != nil {
@@ -908,6 +909,7 @@ func BenchmarkScheduler(b *testing.B) {
 				if rep := consist.Check(res.Trace); !rep.Clean() {
 					b.Fatalf("chash (%d threads): %d consistency violations", threads, len(rep.Violations))
 				}
+				res.Trace.Release()
 			}
 			switches = res.Switches
 		}

@@ -31,6 +31,7 @@ package consist
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"dpmr/internal/mem"
 )
@@ -95,11 +96,66 @@ type locKey struct {
 	width uint8
 }
 
-// locState is a location's most recent traced write. A location is in
-// the checker's map only once it has been written.
+// locState is a location's most recent traced write. A location has a
+// state only once it has been written.
 type locState struct {
 	cur    uint64 // the write's value
 	curSeq uint64 // the write's sequence number
+	width  uint8  // the location's width
+}
+
+// checker is CheckEvents' location state, recycled across checks. The
+// states live in one slice, updated in place, so a write to a known
+// location costs one map lookup. The index is keyed by address alone (a
+// one-word key hashes much faster than a locKey) and points at the state
+// of the first width each address was written at; a write at another
+// width of an already-indexed address is indexed in mixed instead.
+// Every (address, width) thus has exactly one slot and no two share one;
+// the workloads never reach mixed.
+type checker struct {
+	index  map[uint64]int
+	mixed  map[locKey]int
+	states []locState
+	heads  []int
+}
+
+var checkers = sync.Pool{New: func() any {
+	return &checker{index: make(map[uint64]int), mixed: make(map[locKey]int)}
+}}
+
+// load returns the state of location (addr, width), if written.
+func (c *checker) load(addr uint64, width uint8) (*locState, bool) {
+	i, ok := c.index[addr]
+	if ok && c.states[i].width != width {
+		i, ok = c.mixed[locKey{addr, width}]
+	}
+	if !ok {
+		return nil, false
+	}
+	return &c.states[i], true
+}
+
+// store records write e.
+func (c *checker) store(e *mem.TraceEvent) {
+	i, ok := c.index[e.Addr]
+	if !ok {
+		c.index[e.Addr] = c.add(e)
+		return
+	}
+	if c.states[i].width != e.Width {
+		k := locKey{e.Addr, e.Width}
+		if i, ok = c.mixed[k]; !ok {
+			c.mixed[k] = c.add(e)
+			return
+		}
+	}
+	c.states[i].cur, c.states[i].curSeq = e.Val, e.Seq
+}
+
+// add appends the state of a location first written by e.
+func (c *checker) add(e *mem.TraceEvent) int {
+	c.states = append(c.states, locState{cur: e.Val, curSeq: e.Seq, width: e.Width})
+	return len(c.states) - 1
 }
 
 // CheckEvents verifies hand-assembled per-thread traces (the test
@@ -109,9 +165,22 @@ type locState struct {
 // check costs one pass over the events. Sequence numbers are unique
 // across threads in recorder output; ties go to the lower thread.
 func CheckEvents(threads [][]mem.TraceEvent) *Report {
+	c := checkers.Get().(*checker)
+	r := c.check(threads)
+	clear(c.index)
+	clear(c.mixed)
+	c.states = c.states[:0]
+	checkers.Put(c)
+	return r
+}
+
+func (c *checker) check(threads [][]mem.TraceEvent) *Report {
 	r := &Report{}
-	locs := make(map[locKey]locState)
-	heads := make([]int, len(threads))
+	heads := c.heads[:0]
+	for range threads {
+		heads = append(heads, 0)
+	}
+	c.heads = heads
 	var stores map[storeKey]uint64 // built on the first violation
 	for {
 		// Pick the thread with the lowest head; it runs until its next
@@ -138,15 +207,14 @@ func CheckEvents(threads [][]mem.TraceEvent) *Report {
 		for ; h < len(evs) && (h == heads[tid] || evs[h].Seq < bound); h++ {
 			e := &evs[h]
 			r.Events++
-			k := locKey{addr: e.Addr, width: e.Width}
 			if e.Op == mem.TraceStore {
-				locs[k] = locState{cur: e.Val, curSeq: e.Seq}
+				c.store(e)
 				continue
 			}
 			if e.Op != mem.TraceLoad {
 				continue
 			}
-			st, written := locs[k]
+			st, written := c.load(e.Addr, e.Width)
 			if !written || e.Val == st.cur {
 				continue // unconstrained before the first traced write, or current
 			}
@@ -156,7 +224,7 @@ func CheckEvents(threads [][]mem.TraceEvent) *Report {
 			// A value that is not current was superseded iff some earlier
 			// write stored it.
 			class := ClassThinAir
-			if seq, ok := stores[storeKey{k, e.Val}]; ok && seq < e.Seq {
+			if seq, ok := stores[storeKey{locKey{e.Addr, e.Width}, e.Val}]; ok && seq < e.Seq {
 				class = ClassStaleRead
 			}
 			r.Violations = append(r.Violations, Violation{

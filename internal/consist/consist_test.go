@@ -257,3 +257,56 @@ func TestCheckEventsMatchesReference(t *testing.T) {
 		t.Fatalf("random traces never exercised both classes: %v", violations)
 	}
 }
+
+// TestCheckEventsWideKeys runs the differential check over a world the
+// fuzz traces never reach: addresses with the top four bits set,
+// addresses that differ only above bit 59, and one address accessed at
+// every width. Packing width into the low bits of a shifted address
+// would merge locations here; the checker's keying must not.
+func TestCheckEventsWideKeys(t *testing.T) {
+	type loc struct {
+		addr  uint64
+		width uint8
+	}
+	world := []loc{
+		{0xf000_0000_0000_1000, 8},
+		{0xffff_ffff_ffff_fff8, 8},
+		{0x0000_0000_0000_2000, 8},
+		{0x1000_0000_0000_2000, 8}, // differs from the above only in bit 60
+		{0x8000_0000_0000_2000, 8}, // ... only in bit 63
+		{0x3000, 1}, {0x3000, 2}, {0x3000, 4}, {0x3000, 8},
+	}
+	rng := rand.New(rand.NewSource(2))
+	violations := map[string]int{}
+	flagged := map[loc]bool{}
+	for i := 0; i < 2000; i++ {
+		threads := make([][]mem.TraceEvent, 1+rng.Intn(3))
+		for seq := uint64(0); seq < uint64(rng.Intn(96)); seq++ {
+			l := world[rng.Intn(len(world))]
+			op := mem.TraceLoad
+			if rng.Intn(2) == 0 {
+				op = mem.TraceStore
+			}
+			tid := rng.Intn(len(threads))
+			threads[tid] = append(threads[tid], mem.TraceEvent{
+				Seq: seq, Addr: l.addr, Val: uint64(rng.Intn(4)), Op: op, Width: l.width,
+			})
+		}
+		got, want := CheckEvents(threads), referenceCheck(threads)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trace %d: CheckEvents and the reference disagree on %v:\n got %+v\nwant %+v", i, threads, got, want)
+		}
+		for _, v := range got.Violations {
+			violations[v.Class]++
+			flagged[loc{v.Addr, v.Width}] = true
+		}
+	}
+	if violations[ClassStaleRead] == 0 || violations[ClassThinAir] == 0 {
+		t.Fatalf("random traces never exercised both classes: %v", violations)
+	}
+	for _, l := range world {
+		if !flagged[l] {
+			t.Errorf("no violation was ever flagged at [%#x]/%d", l.addr, l.width)
+		}
+	}
+}

@@ -76,6 +76,7 @@ func planConcurrent(spec Spec) (*concurrentPlan, error) {
 		threads:   spec.Threads,
 		schedSeed: spec.SchedSeed,
 		runs:      spec.Runs,
+		trials:    make([]concurrentTrial, 0, len(spec.Workloads)*len(variants)*spec.Runs),
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "dpmr concurrent plan v1\nspec %s\n", canon)
@@ -190,6 +191,7 @@ func (r *Runner) runConcurrentOnce(w workloads.ConcurrentWorkload, v Variant, th
 	})
 	o := r.classify(golden, res.Combined)
 	o.ConsistViol = !consist.Check(res.Trace).Clean()
+	res.Trace.Release() // the verdict is all a trial keeps of its trace
 	return o, nil
 }
 

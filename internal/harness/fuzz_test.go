@@ -7,10 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"dpmr/internal/dpmr"
 	"dpmr/internal/faultinject"
 	"dpmr/internal/workloads"
 )
@@ -222,5 +224,64 @@ func FuzzDecodeExperimentPartial(f *testing.F) {
 			return
 		}
 		checkRoundTrip(t, ep, encode, DecodeExperimentPartial)
+	})
+}
+
+// FuzzDecodeSpec: arbitrary bytes either decode into a normalized Spec
+// or are refused with an error — never a panic. A decoded Spec is a
+// fixed point of Normalized, and its canonical JSON decodes back to the
+// same Spec with the same fingerprint.
+func FuzzDecodeSpec(f *testing.F) {
+	ws := workloads.All()[:2]
+	vs := []Variant{Stdapp(), NewVariant(dpmr.MDS, dpmr.PadMalloc{Pad: 32}, dpmr.TemporalHalf)}
+	quick := ExperimentSpec("fig3.6")
+	quick.Quick = true
+	for _, s := range []Spec{
+		CampaignSpec(faultinject.HeapArrayResize, ws, vs),
+		OverheadSpec(ws, vs),
+		ExperimentSpec("tab3.3"),
+		quick,
+		ConcurrentSpec([]string{"chash", "csteal"}, vs),
+	} {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"kind":"campaign","workloads":["mcf"],"variants":[{"design":"sds"}],"inject":"immediate-free","runs":-1}`))
+	f.Add([]byte(`{"kind":"concurrent","threads":4,"schedSeed":-9,"mem":{"heapBytes":1}}`))
+	f.Add([]byte(`{"kind":"experiment","exp":"fig3.16","quick":true,"workloads":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		n, err := s.Normalized()
+		if err != nil {
+			t.Fatalf("a decoded Spec fails to renormalize: %v\n%+v", err, s)
+		}
+		if !reflect.DeepEqual(n, s) {
+			t.Fatalf("Normalized is not a fixed point:\n got %+v\nfrom %+v", n, s)
+		}
+		c, err := s.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeSpec(bytes.NewReader(c))
+		if err != nil {
+			t.Fatalf("canonical JSON %s is refused: %v", c, err)
+		}
+		fp, err := s.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fpBack, err := back.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != fpBack {
+			t.Fatalf("fingerprint %s became %s across the round trip of %s", fp, fpBack, c)
+		}
 	})
 }

@@ -232,3 +232,33 @@ func TestSampleSites(t *testing.T) {
 		t.Error("0 = no cap")
 	}
 }
+
+// TestSequentialFaultFreeMetamorphic: with no fault injected, DPMR must
+// be invisible. Every sequential workload under every Figure 3.x variant
+// (the diversity and policy sets of SDS and MDS), runs 0 and 1, gives
+// correct output and no detection of either kind.
+func TestSequentialFaultFreeMetamorphic(t *testing.T) {
+	var vs []Variant
+	for _, d := range []dpmr.Design{dpmr.SDS, dpmr.MDS} {
+		vs = append(vs, DiversityVariants(d)...)
+		vs = append(vs, PolicyVariants(d)...)
+	}
+	if len(vs) != 32 {
+		t.Fatalf("%d variants, want 32", len(vs))
+	}
+	r := NewRunner()
+	for _, w := range workloads.All() {
+		for _, v := range vs {
+			for rn := 0; rn < 2; rn++ {
+				o, err := r.RunOnce(w, v, nil, rn)
+				if err != nil {
+					t.Fatalf("%s %s run %d: %v", w.Name, v.Label(), rn, err)
+				}
+				if !o.CO || o.NatDet || o.DpmrDet {
+					t.Errorf("%s %s run %d: CO %v NatDet %v DpmrDet %v, want correct output and no detection",
+						w.Name, v.Label(), rn, o.CO, o.NatDet, o.DpmrDet)
+				}
+			}
+		}
+	}
+}

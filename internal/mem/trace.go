@@ -14,9 +14,19 @@
 // mem/trace-drop failpoint silently discards events, simulating recorder
 // data loss for torture drills (a dropped store typically surfaces
 // downstream as a thin-air read verdict).
+//
+// Recorders are recycled: NewTraceRec draws from a package pool and
+// Release hands a recorder back with its buffers truncated but their
+// capacity kept, so a campaign that releases each group's trace after
+// checking it stops growing buffers from empty once the pool is warm.
+// Callers that never release allocate a recorder's buffers per group.
 package mem
 
-import "dpmr/internal/failpt"
+import (
+	"sync"
+
+	"dpmr/internal/failpt"
+)
 
 // TraceOp distinguishes the two recorded access kinds.
 type TraceOp uint8
@@ -38,13 +48,14 @@ func (op TraceOp) String() string {
 // checker may surface as a violation.
 var TraceDropSite = failpt.Register("mem/trace-drop", failpt.KindDrop)
 
-// TraceEvent is one recorded shared-tier access.
+// TraceEvent is one recorded shared-tier access. The field order packs
+// it into 32 bytes (three words, then the two one-byte fields).
 type TraceEvent struct {
 	Seq   uint64 // global total-order position (dense across threads)
-	Op    TraceOp
 	Addr  uint64
-	Width uint8
 	Val   uint64 // value loaded / value stored, truncated to Width bytes
+	Op    TraceOp
+	Width uint8
 }
 
 // TraceRec records per-thread, bounded access traces. It is not safe for
@@ -59,8 +70,13 @@ type TraceRec struct {
 	dropped   uint64
 }
 
+// tracePool holds released recorders. Every buffer of a pooled recorder
+// is empty, and none has more capacity than its recorder's last limit.
+var tracePool = sync.Pool{New: func() any { return new(TraceRec) }}
+
 // NewTraceRec sizes a recorder for the given thread count, bounding each
-// thread's buffer at limit events (<= 0 selects a default).
+// thread's buffer at limit events (<= 0 selects a default). The recorder
+// may be a released one; it records exactly like a fresh one.
 func NewTraceRec(threads, limit int) *TraceRec {
 	if threads < 1 {
 		threads = 1
@@ -68,7 +84,34 @@ func NewTraceRec(threads, limit int) *TraceRec {
 	if limit <= 0 {
 		limit = 1 << 16
 	}
-	return &TraceRec{threads: make([][]TraceEvent, threads), limit: limit}
+	t := tracePool.Get().(*TraceRec)
+	if threads > cap(t.threads) {
+		t.threads = append(t.threads[:cap(t.threads)], make([][]TraceEvent, threads-cap(t.threads))...)
+	}
+	all := t.threads[:cap(t.threads)]
+	for i, buf := range all {
+		if cap(buf) > limit {
+			all[i] = nil // keep the pool within this recorder's bound
+		}
+	}
+	t.threads = all[:threads]
+	t.limit = limit
+	return t
+}
+
+// Release truncates t's buffers, keeping their capacity, and returns t
+// to the pool NewTraceRec draws from. Slices Thread returned before are
+// invalid afterwards: they alias buffers the next group overwrites. t
+// must not be used after Release; a nil t is a no-op.
+func (t *TraceRec) Release() {
+	if t == nil {
+		return
+	}
+	for i := range t.threads {
+		t.threads[i] = t.threads[i][:0]
+	}
+	t.seq, t.thread, t.truncated, t.dropped = 0, 0, false, 0
+	tracePool.Put(t)
 }
 
 // SetThread labels subsequent events with thread tid; the scheduler calls
@@ -93,10 +136,22 @@ func (t *TraceRec) record(op TraceOp, addr uint64, width int, val uint64) {
 		t.truncated = true
 		return
 	}
+	if len(buf) == cap(buf) {
+		buf = t.grow(buf)
+	}
 	t.threads[t.thread] = append(buf, TraceEvent{
-		Seq: t.seq, Op: op, Addr: addr, Width: uint8(width), Val: val,
+		Seq: t.seq, Addr: addr, Val: val, Op: op, Width: uint8(width),
 	})
 	t.seq++
+}
+
+// grow doubles a full buffer's capacity, never past the limit, so a
+// buffer (and the pool holding it) stays within limit events.
+func (t *TraceRec) grow(buf []TraceEvent) []TraceEvent {
+	n := min(max(2*cap(buf), 256), t.limit)
+	grown := make([]TraceEvent, len(buf), n)
+	copy(grown, buf)
+	return grown
 }
 
 // Threads returns the number of per-thread buffers.

@@ -179,7 +179,9 @@ func readPins(t *testing.T) map[string]string {
 // TestSchedulePins runs every pinned group and compares its outcome hash
 // with testdata/schedules.txt. Each group runs twice, on a fresh space
 // and on one recycled through a pool shared by all groups, and both runs
-// must hash alike.
+// must hash alike. Every trace is released after hashing, so most groups
+// record into a recorder an earlier group (of another thread count, or
+// cut short by an abort or a timeout) left behind.
 func TestSchedulePins(t *testing.T) {
 	got := make(map[string]string)
 	pool := mem.NewPool(mem.Config{})
@@ -191,7 +193,9 @@ func TestSchedulePins(t *testing.T) {
 				}
 				defer failpt.Disarm()
 			}
-			return groupHash(t, Run(c.m, cfg))
+			res := Run(c.m, cfg)
+			defer res.Trace.Release()
+			return groupHash(t, res)
 		}
 		got[c.name] = run(c.cfg)
 		pooled := c.cfg
